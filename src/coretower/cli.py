@@ -27,9 +27,6 @@ PRECISION_ENV = "CORETOWER_PRECISION"
 
 @dataclass
 class CliConfig:
-    order: int = 100
-    t: int | None = None
-    j: int | None = None
     fmt: str = "plain"
     precision: int = 50
     brute_ceiling: int = 30
@@ -257,7 +254,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--precision",
         type=int,
-        default=int(os.environ.get(PRECISION_ENV, "50")),
+        default=None,
         help=f"working decimal digits for float evaluations "
         f"(default 50, override with ${PRECISION_ENV})",
     )
@@ -332,23 +329,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args) -> CliConfig:
+    """Validated settings; a bad value raises ValueError, never a traceback."""
+    precision = args.precision
+    if precision is None:
+        raw = os.environ.get(PRECISION_ENV, "50")
+        try:
+            precision = int(raw)
+        except ValueError:
+            raise ValueError(f"${PRECISION_ENV} must be an integer, got {raw!r}")
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1, got {precision}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    if args.brute_ceiling < 0:
+        raise ValueError(
+            f"--brute-ceiling must be nonnegative, got {args.brute_ceiling}"
+        )
+    return CliConfig(
+        fmt=args.format,
+        precision=precision,
+        brute_ceiling=args.brute_ceiling,
+        threads=args.threads,
+    )
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = CliConfig(
-        order=getattr(args, "order", 100),
-        t=getattr(args, "t", None),
-        j=getattr(args, "j", None),
-        fmt=args.format,
-        precision=args.precision,
-        brute_ceiling=args.brute_ceiling,
-        threads=args.threads,
-    )
     try:
-        return args.handler(cfg, args)
+        return args.handler(_config(args), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

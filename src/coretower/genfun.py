@@ -262,13 +262,15 @@ def check_recursion(t: int, order: int) -> VerificationReport:
     counts of partitions with no part divisible by t."""
     _check_params(t, order=order)
     totals = core_size_totals(t, order)
-    regular = regular_partition_series(t, order)
+    regular = regular_partition_series(t, order).coeffs
+    weights = [(m, m * partition_count(m // t)) for m in range(t, order + 1, t)]
     mismatch = None
     for n in range(order + 1):
-        correction = sum(
-            m * partition_count(m // t) * regular[n - m]
-            for m in range(t, n + 1, t)
-        )
+        correction = 0
+        for m, weight in weights:
+            if m > n:
+                break
+            correction += weight * regular[n - m]
         rhs = n * partition_count(n) - t * correction
         if totals[n] != rhs:
             mismatch = (n, totals[n], rhs)
@@ -304,7 +306,7 @@ def telescoped_row_weight_check(t: int, j: int, order: int) -> VerificationRepor
     for k in range(j + 1):
         lhs = lhs + (t**k) * row_weight_series(k, t, order)
     g = divisor_sum_series(order)
-    num = substitute_power(g, 1)
+    num = g
     m = _power_within(t, j + 1, order)
     if m is not None:
         num = num - (m * m) * substitute_power(g, m)

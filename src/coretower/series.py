@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, isqrt
+from math import isqrt
 
 
 class OrderMismatchError(ValueError):
@@ -155,29 +155,73 @@ def q_derivative(a: IntSeries) -> IntSeries:
     return IntSeries(tuple(n * c for n, c in enumerate(a.coeffs)))
 
 
+def _pentagonal_terms(order: int) -> list[tuple[int, int]]:
+    """Nonzero terms (k, coefficient) of (q; q)_infinity with 1 <= k <= order.
+
+    Euler's pentagonal number theorem: the coefficient is (-1)**j at the
+    generalized pentagonal numbers j(3j - 1)/2 and j(3j + 1)/2, j >= 1, and
+    zero elsewhere, so there are about sqrt(8 order / 3) terms.
+    """
+    terms = []
+    j = 1
+    while (k := j * (3 * j - 1) // 2) <= order:
+        sign = -1 if j % 2 else 1
+        terms.append((k, sign))
+        if k + j <= order:
+            terms.append((k + j, sign))
+        j += 1
+    return terms
+
+
 @lru_cache(maxsize=None)
 def pochhammer_inf(a: int, e: int, order: int) -> IntSeries:
     """(q**a; q**a)_infinity ** e, truncated: the product of (1 - q**(a*k))**e.
 
-    Factors with a*k beyond the order contribute nothing and are skipped,
-    so the truncation is exact.
+    No series is multiplied.  (q; q)_infinity to order N = order // a is
+    read off Euler's pentagonal number theorem (about sqrt(N) terms, each
+    +1 or -1).  For e > 1 it is raised to the e-th power by J. C. P.
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): g_0 = 1 and
+    n g_n = sum over the nonzero f_k of ((e + 1) k - n) f_k g_(n-k).  The
+    result is then spread to q -> q**a.  The cost is about O(N**1.5), that
+    is O(order**1.5 / a**1.5) coefficient products.
+
+    The division by n in the recurrence is exact over the integers; a
+    nonzero remainder raises ArithmeticError rather than losing precision.
     """
     if a < 1 or e < 1:
         raise ValueError("step and exponent must be positive")
-    result = series_one(order)
-    k = 1
-    while a * k <= order:
-        step = a * k
-        factor = [0] * (order + 1)
-        for i in range(min(e, order // step) + 1):
-            factor[i * step] = (-1) ** i * comb(e, i)
-        result = mul(result, IntSeries(tuple(factor)))
-        k += 1
-    return result
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
+    n_max = order // a
+    terms = _pentagonal_terms(n_max)
+    g = [1] + [0] * n_max
+    if e == 1:
+        for k, fk in terms:
+            g[k] = fk
+    else:
+        for n in range(1, n_max + 1):
+            acc = 0
+            for k, fk in terms:
+                if k > n:
+                    break
+                acc += ((e + 1) * k - n) * fk * g[n - k]
+            quotient, remainder = divmod(acc, n)
+            if remainder:
+                raise ArithmeticError(
+                    f"Miller recurrence left remainder {remainder} at n={n}"
+                )
+            g[n] = quotient
+    out = [0] * (order + 1)
+    out[::a] = g
+    return IntSeries(tuple(out))
 
 
 def euler_product(order: int) -> IntSeries:
-    """(q; q)_infinity truncated; coefficients follow the pentagonal pattern."""
+    """(q; q)_infinity truncated, read off the pentagonal number theorem.
+
+    Same as pochhammer_inf(1, 1, order): about sqrt(order) nonzero terms,
+    built in O(order) time.
+    """
     return pochhammer_inf(1, 1, order)
 
 

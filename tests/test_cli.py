@@ -228,6 +228,33 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("asympt", "defect", "--t", "2", "--samples", "10", "--precision", "0"),
+             "precision"),
+            (("series", "D", "--t", "3", "--order", "8", "--mode", "brute",
+              "--threads", "-4"), "--threads"),
+            (("series", "D", "--t", "2", "--order", "5", "--brute-ceiling", "-1"),
+             "--brute-ceiling"),
+        ],
+    )
+    def test_out_of_range_settings(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+
+    def test_non_integer_precision_env_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("CORETOWER_PRECISION", "fifty")
+        code, out, err = run_cli(
+            capsys, "asympt", "transform", "--m", "1", "--eps", "0.1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: $CORETOWER_PRECISION must be an integer, got 'fifty'\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

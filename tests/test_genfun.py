@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from coretower import (
@@ -34,6 +36,11 @@ DEFECTS_3 = (0, 0, 0, 3, 3, 6, 18, 24, 39, 81, 111)
 CORES_0_2 = (1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0)
 CORES_1_2 = (1, 1, 2, 3, 1, 3, 3, 3, 4, 4, 2, 2, 7)
 CORES_0_3 = (1, 1, 2, 0, 2, 1, 2, 0, 1, 2, 2, 0, 2)
+
+
+def _divisors(m):
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return set(small) | {m // d for d in small}
 
 
 class TestRowWeightSeries:
@@ -115,10 +122,23 @@ class TestGeneralizedCoreSeries:
         assert generalized_core_series(0, 3, 12).coeffs == CORES_0_3
 
     def test_two_cores_sit_on_triangular_numbers(self):
-        f = generalized_core_series(0, 2, 25)
-        triangulars = {k * (k + 1) // 2 for k in range(10)}
-        for n in range(26):
+        # The 2-cores are the staircases (k, k-1, ..., 1), one of each
+        # triangular size.
+        order = 2000
+        f = generalized_core_series(0, 2, order)
+        triangulars = {k * (k + 1) // 2 for k in range(64)}
+        for n in range(order + 1):
             assert f[n] == (1 if n in triangulars else 0)
+
+    def test_three_core_counts_follow_divisor_classes(self):
+        # Granville-Ono: the number of 3-cores of n is d_1(3n+1) - d_2(3n+1),
+        # where d_i(m) counts the divisors of m congruent to i mod 3.
+        order = 2000
+        f = generalized_core_series(0, 3, order)
+        for n in range(order + 1):
+            m = 3 * n + 1
+            residues = [d % 3 for d in _divisors(m)]
+            assert f[n] == residues.count(1) - residues.count(2), n
 
     def test_constant_coefficient_counts_the_empty_partition(self):
         for j, t in ((0, 2), (1, 3), (2, 2)):

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -30,6 +31,29 @@ from strategies import small_series_coeffs
 
 def geometric(order):
     return IntSeries((1,) * (order + 1))
+
+
+def product_expansion(a, e, order):
+    """(q**a; q**a)_infinity ** e expanded factor by factor, as a reference.
+
+    Multiplies in each (1 - q**(a*k))**e through its at most e + 1 nonzero
+    binomial terms, in place from the top coefficient down, so it shares
+    nothing with the pentagonal theorem and stays cheap at order 800.
+    """
+    coeffs = [1] + [0] * order
+    for step in range(a, order + 1, a):
+        terms = [
+            (i * step, (-1) ** i * comb(e, i))
+            for i in range(1, min(e, order // step) + 1)
+        ]
+        for n in range(order, step - 1, -1):
+            acc = coeffs[n]
+            for shift, c in terms:
+                if shift > n:
+                    break
+                acc += c * coeffs[n - shift]
+            coeffs[n] = acc
+    return IntSeries(tuple(coeffs))
 
 
 class TestRingBasics:
@@ -168,6 +192,18 @@ class TestProducts:
     def test_step_beyond_order_gives_one(self):
         assert pochhammer_inf(9, 3, 8) == series_one(8)
 
+    @pytest.mark.parametrize("a", range(1, 7))
+    @pytest.mark.parametrize("e", range(1, 7))
+    def test_matches_the_product_expansion(self, a, e):
+        for order in (0, 1, 17, 240):
+            assert pochhammer_inf(a, e, order) == product_expansion(a, e, order)
+
+    @pytest.mark.parametrize(
+        "a, e", [(1, 1), (2, 2), (4, 4), (8, 8), (9, 9), (25, 25), (27, 27)]
+    )
+    def test_matches_the_product_expansion_at_order_800(self, a, e):
+        assert pochhammer_inf(a, e, 800) == product_expansion(a, e, 800)
+
 
 class TestDivisorSums:
     def test_first_values(self):
@@ -184,7 +220,7 @@ class TestDivisorSums:
 
 class TestLogDerivativeIdentity:
     def test_euler_product_log_derivative(self):
-        n = 120
+        n = 1000
         ep = euler_product(n)
         assert q_derivative(ep) == negate(mul(divisor_sum_series(n), ep))
 
