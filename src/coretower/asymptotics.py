@@ -17,8 +17,11 @@ from mpmath import mp
 
 from .genfun import defect_series
 from .partitions import partition_count
+from .series import divisor_sum
 
 DEFAULT_DPS = 50
+
+_MAX_LAMBERT_TERMS = 10**6
 
 
 def ingham_predict(growth_a, power_alpha, scale_ell, n: int, dps: int = DEFAULT_DPS):
@@ -96,14 +99,6 @@ def defect_predict(t: int, n: int, dps: int = DEFAULT_DPS) -> DefectPrediction:
         return DefectPrediction(+main, +np_form)
 
 
-def _sigma1(n: int) -> int:
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += d
-    return total
-
-
 def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
     """Relative gap between two evaluations of sum_n sigma_1(n) q**(m n)
     at q = e**-eps.
@@ -115,7 +110,9 @@ def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
             - 1/(2 m eps),
 
     whose dual sum converges extremely fast.  The identity is exact, so
-    the residual only measures summation and rounding error.
+    the residual only measures summation and rounding error.  The direct
+    sum needs about (dps + 10) ln(10) / (m eps) terms; past 10**6 terms
+    this raises ValueError instead of summing.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -123,6 +120,12 @@ def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
         e = mp.mpf(eps)
         if not 0 < e <= 1:
             raise ValueError("eps must satisfy 0 < eps <= 1")
+        terms = (dps + 10) * mp.log(10) / (m * e)
+        if terms > _MAX_LAMBERT_TERMS:
+            raise ValueError(
+                f"eps {eps} is too small for m={m}: the direct sum would need "
+                f"about {mp.nstr(terms, 3)} terms, more than {_MAX_LAMBERT_TERMS}"
+            )
         tol = mp.mpf(10) ** (-(dps + 10))
 
         x = mp.exp(-m * e)
@@ -142,7 +145,7 @@ def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
         yn = y
         n = 1
         while True:
-            term = _sigma1(n) * yn
+            term = divisor_sum(n) * yn
             dual += term
             if term < tol:
                 break

@@ -12,15 +12,14 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from mpmath import mp
 
 from . import asymptotics, genfun
 from . import series as qs
-from .partitions import Partition, enumerate_partitions, make_partition
-from .tower import core_tower, defect, is_generalized_core, row_size, t_core, t_quotient
+from .partitions import Partition, make_partition
+from .tower import core_tower, defect, t_core, t_quotient
 
 PRECISION_ENV = "CORETOWER_PRECISION"
 
@@ -30,7 +29,6 @@ class CliConfig:
     fmt: str = "plain"
     precision: int = 50
     brute_ceiling: int = 30
-    threads: int = 1
 
 
 def _parse_partition(text: str) -> Partition:
@@ -113,37 +111,6 @@ def _cmd_tower(cfg: CliConfig, args) -> int:
     return 0
 
 
-def _brute_coefficient(family: str, j: int, t: int, n: int) -> int:
-    if family == "T":
-        return sum(row_size(lam, t, j) for lam in enumerate_partitions(n))
-    if family == "D":
-        return sum(defect(lam, t) for lam in enumerate_partitions(n))
-    return sum(1 for lam in enumerate_partitions(n) if is_generalized_core(lam, j, t))
-
-
-def _brute_series(family: str, j: int, t: int, order: int, threads: int) -> qs.IntSeries:
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_brute_coefficient, family, j, t, n)
-                for n in range(order + 1)
-            ]
-            return qs.IntSeries(tuple(f.result() for f in futures))
-    if family == "T":
-        return genfun.row_weight_series_brute(j, t, order)
-    if family == "D":
-        return genfun.defect_series_brute(t, order)
-    return genfun.generalized_core_series_brute(j, t, order)
-
-
-def _closed_series(family: str, j: int, t: int, order: int) -> qs.IntSeries:
-    if family == "T":
-        return genfun.row_weight_series(j, t, order)
-    if family == "D":
-        return genfun.defect_series(t, order)
-    return genfun.generalized_core_series(j, t, order)
-
-
 def _cmd_series(cfg: CliConfig, args) -> int:
     family = args.family
     if family in ("T", "cores") and args.j is None:
@@ -157,14 +124,13 @@ def _cmd_series(cfg: CliConfig, args) -> int:
             f"order {order} exceeds the brute-force ceiling {cfg.brute_ceiling}; "
             f"raise --brute-ceiling explicitly if you mean it"
         )
+    closed_form, enumerated = genfun.FAMILIES[family]
     if args.mode == "both":
         _require_plain_or_json(cfg, "verification reports")
-        closed = _closed_series(family, j, args.t, order)
-        brute = _brute_series(family, j, args.t, order, cfg.threads)
         report = genfun.compare_series(
             f"series.{family}",
-            closed,
-            brute,
+            closed_form(j, args.t, order),
+            enumerated(j, args.t, order),
             t=args.t,
             j=args.j,
         )
@@ -174,10 +140,7 @@ def _cmd_series(cfg: CliConfig, args) -> int:
             print(report.describe())
         return 0 if report.passed else 1
 
-    if args.mode == "closed":
-        result = _closed_series(family, j, args.t, order)
-    else:
-        result = _brute_series(family, j, args.t, order, cfg.threads)
+    result = (closed_form if args.mode == "closed" else enumerated)(j, args.t, order)
     if cfg.fmt == "json":
         _print_json(qs.to_json_dict(result))
     elif cfg.fmt == "csv":
@@ -264,12 +227,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=30,
         help="largest order allowed for brute-force enumeration (default 30)",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker processes for brute-force series (default 1)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="exact series, closed form or brute force")
     _add_common(p)
-    p.add_argument("family", choices=("T", "D", "cores"))
+    p.add_argument("family", choices=tuple(genfun.FAMILIES))
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--j", type=int, default=None, help="tower row (T and cores only)")
     p.add_argument("--order", type=int, default=100)
@@ -340,8 +297,6 @@ def _config(args) -> CliConfig:
             raise ValueError(f"${PRECISION_ENV} must be an integer, got {raw!r}")
     if precision < 1:
         raise ValueError(f"precision must be at least 1, got {precision}")
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.brute_ceiling < 0:
         raise ValueError(
             f"--brute-ceiling must be nonnegative, got {args.brute_ceiling}"
@@ -350,7 +305,6 @@ def _config(args) -> CliConfig:
         fmt=args.format,
         precision=precision,
         brute_ceiling=args.brute_ceiling,
-        threads=args.threads,
     )
 
 

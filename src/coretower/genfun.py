@@ -10,8 +10,9 @@ recursion, and monotonicity checkers produce the same report type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .partitions import enumerate_partitions, partition_count
+from .partitions import Partition, enumerate_partitions, partition_count
 from .series import (
     IntSeries,
     divisor_sum_series,
@@ -148,14 +149,16 @@ def row_weight_series(j: int, t: int, order: int) -> IntSeries:
     return div(num, euler_product(order))
 
 
+def _enumerated(statistic: Callable[[Partition], int], order: int) -> IntSeries:
+    """Series whose coefficient of q**n sums statistic over the partitions of n."""
+    sums = (sum(map(statistic, enumerate_partitions(n))) for n in range(order + 1))
+    return IntSeries(tuple(sums))
+
+
 def row_weight_series_brute(j: int, t: int, order: int) -> IntSeries:
     """Brute-force twin of row_weight_series by full enumeration."""
     _check_params(t, j, order)
-    coeffs = tuple(
-        sum(row_size(lam, t, j) for lam in enumerate_partitions(n))
-        for n in range(order + 1)
-    )
-    return IntSeries(coeffs)
+    return _enumerated(lambda lam: row_size(lam, t, j), order)
 
 
 def defect_series(t: int, order: int) -> IntSeries:
@@ -176,11 +179,7 @@ def defect_series(t: int, order: int) -> IntSeries:
 
 def defect_series_brute(t: int, order: int) -> IntSeries:
     _check_params(t, order=order)
-    coeffs = tuple(
-        sum(defect(lam, t) for lam in enumerate_partitions(n))
-        for n in range(order + 1)
-    )
-    return IntSeries(coeffs)
+    return _enumerated(lambda lam: defect(lam, t), order)
 
 
 def generalized_core_series(j: int, t: int, order: int) -> IntSeries:
@@ -197,11 +196,26 @@ def generalized_core_series(j: int, t: int, order: int) -> IntSeries:
 
 def generalized_core_series_brute(j: int, t: int, order: int) -> IntSeries:
     _check_params(t, j, order)
-    coeffs = tuple(
-        sum(1 for lam in enumerate_partitions(n) if is_generalized_core(lam, j, t))
-        for n in range(order + 1)
-    )
-    return IntSeries(coeffs)
+    return _enumerated(lambda lam: is_generalized_core(lam, j, t), order)
+
+
+# Family name -> (closed form, enumeration twin), each called as f(j, t, order);
+# D ignores j.  The entries look the functions up when called, so a wrapper
+# installed on a module attribute sees every call.
+FAMILIES: dict[str, tuple[Callable[[int, int, int], IntSeries], ...]] = {
+    "T": (
+        lambda j, t, order: row_weight_series(j, t, order),
+        lambda j, t, order: row_weight_series_brute(j, t, order),
+    ),
+    "D": (
+        lambda j, t, order: defect_series(t, order),
+        lambda j, t, order: defect_series_brute(t, order),
+    ),
+    "cores": (
+        lambda j, t, order: generalized_core_series(j, t, order),
+        lambda j, t, order: generalized_core_series_brute(j, t, order),
+    ),
+}
 
 
 def core_size_totals(t: int, order: int) -> list[int]:
@@ -222,11 +236,7 @@ def regular_partition_series(t: int, order: int) -> IntSeries:
 
 def regular_partition_counts_brute(t: int, order: int) -> IntSeries:
     _check_params(t, order=order)
-    coeffs = tuple(
-        sum(1 for lam in enumerate_partitions(n) if all(p % t for p in lam.parts))
-        for n in range(order + 1)
-    )
-    return IntSeries(coeffs)
+    return _enumerated(lambda lam: all(p % t for p in lam.parts), order)
 
 
 def check_congruence(t: int, order: int, claim: str = "both") -> VerificationReport:

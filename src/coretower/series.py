@@ -8,7 +8,6 @@ truncate() to drop to a common order explicitly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -231,21 +230,23 @@ def partition_series(order: int) -> IntSeries:
     return div(series_one(order), euler_product(order))
 
 
+def divisor_sum(n: int) -> int:
+    """sigma_1(n), the sum of the divisors of n >= 1, by trial division to sqrt(n)."""
+    s = 0
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            s += d
+            if d != n // d:
+                s += n // d
+    return s
+
+
 @lru_cache(maxsize=None)
 def divisor_sum_series(order: int) -> IntSeries:
     """Sum over n >= 1 of sigma_1(n) q**n, computed by per-n divisor sums."""
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    out = [0] * (order + 1)
-    for n in range(1, order + 1):
-        s = 0
-        for d in range(1, isqrt(n) + 1):
-            if n % d == 0:
-                s += d
-                if d != n // d:
-                    s += n // d
-        out[n] = s
-    return IntSeries(tuple(out))
+    return IntSeries((0,) + tuple(divisor_sum(n) for n in range(1, order + 1)))
 
 
 def divisor_sum_series_lambert(order: int) -> IntSeries:
@@ -273,10 +274,6 @@ def from_json_dict(d: dict) -> IntSeries:
     if series.truncation_order != d["truncation_order"]:
         raise ValueError("truncation_order does not match the coefficient count")
     return series
-
-
-def to_json(a: IntSeries) -> str:
-    return json.dumps(to_json_dict(a), indent=2)
 
 
 def to_csv(a: IntSeries) -> str:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .partitions import Partition
 
@@ -96,31 +97,28 @@ class BetaSet:
 
 
 @lru_cache(maxsize=None)
+def _abacus(lam: Partition, t: int) -> tuple[Partition, tuple[Partition, ...]]:
+    """(t-core, t-quotient) of lam, read off one placement of its beads."""
+    _check_modulus(t)
+    runners: list[list[int]] = [[] for _ in range(t)]
+    for b in _beads(lam, _bead_count(len(lam), t)):
+        runners[b % t].append(b // t)
+    slid = [r + t * i for r in range(t) for i in range(len(runners[r]))]
+    return _partition_from_beads(slid), tuple(map(_partition_from_beads, runners))
+
+
 def t_core(lam: Partition, t: int) -> Partition:
     """The t-core of lam: no hook length of the result is divisible by t."""
-    _check_modulus(t)
-    beads = _beads(lam, _bead_count(len(lam), t))
-    counts = [0] * t
-    for b in beads:
-        counts[b % t] += 1
-    slid = [r + t * i for r in range(t) for i in range(counts[r])]
-    return _partition_from_beads(slid)
+    return _abacus(lam, t)[0]
 
 
-@lru_cache(maxsize=None)
 def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
     """The t-quotient of lam as an ordered t-tuple of partitions.
 
     Component r is read from the beads in residue class r mod t.  The size
     identity |lam| = |core| + t * (total quotient size) always holds.
     """
-    _check_modulus(t)
-    beads = _beads(lam, _bead_count(len(lam), t))
-    components = []
-    for r in range(t):
-        runner = sorted(((b - r) // t for b in beads if b % t == r), reverse=True)
-        components.append(_partition_from_beads(runner))
-    return tuple(components)
+    return _abacus(lam, t)[1]
 
 
 def is_t_core(lam: Partition, t: int) -> bool:
@@ -153,6 +151,18 @@ def reconstruct(core: Partition, quotient: Sequence[Partition], t: int) -> Parti
     return _partition_from_beads(beads)
 
 
+def _dense_rows(lam: Partition, t: int) -> Iterator[tuple[Partition, ...]]:
+    """Pre-tower rows 0, 1, 2, ... of lam; raises before a row would exceed
+    _MAX_ROW_ENTRIES entries."""
+    _check_modulus(t)
+    row: tuple[Partition, ...] = (lam,)
+    while True:
+        yield row
+        if len(row) * t > _MAX_ROW_ENTRIES:
+            raise ValueError("pre-tower row has too many entries to materialise")
+        row = tuple(c for p in row for c in t_quotient(p, t))
+
+
 def pre_tower_row(lam: Partition, t: int, j: int) -> tuple[Partition, ...]:
     """Row j of the t-core pre-tower: t**j partitions, iterated quotients of lam.
 
@@ -162,12 +172,7 @@ def pre_tower_row(lam: Partition, t: int, j: int) -> tuple[Partition, ...]:
     _check_modulus(t)
     if j < 0:
         raise ValueError("row index j must be nonnegative")
-    row: tuple[Partition, ...] = (lam,)
-    for _ in range(j):
-        if len(row) * t > _MAX_ROW_ENTRIES:
-            raise ValueError("pre-tower row has too many entries to materialise")
-        row = tuple(c for p in row for c in t_quotient(p, t))
-    return row
+    return next(islice(_dense_rows(lam, t), j, None))
 
 
 @dataclass(frozen=True)
@@ -192,16 +197,14 @@ class CoreTower:
 
 
 def core_tower(lam: Partition, t: int) -> CoreTower:
-    """The t-core tower of lam."""
-    _check_modulus(t)
+    """The t-core tower of lam, up to its first row of t-cores (the next
+    pre-tower row is empty); raises ValueError past _MAX_ROW_ENTRIES."""
     rows = []
-    row: tuple[Partition, ...] = (lam,)
-    while True:
-        rows.append(tuple(t_core(p, t) for p in row))
-        nxt = tuple(c for p in row for c in t_quotient(p, t))
-        if not any(nxt):
+    for row in _dense_rows(lam, t):
+        cores = tuple(t_core(p, t) for p in row)
+        rows.append(cores)
+        if cores == row:
             break
-        row = nxt
     return CoreTower(t=t, rows=tuple(rows))
 
 
@@ -212,14 +215,13 @@ def tower_row_sizes(lam: Partition, t: int) -> tuple[int, ...]:
     Sparse equivalent of core_tower(lam, t).row_sizes: empty entries are
     dropped between levels since they contribute nothing.
     """
-    _check_modulus(t)
+    # Not _dense_rows: this is the enumeration hot path, so empty entries go.
     sizes = []
     current: tuple[Partition, ...] = (lam,)
-    while True:
-        sizes.append(sum(t_core(p, t).size for p in current))
-        current = tuple(c for p in current for c in t_quotient(p, t) if c)
-        if not current:
-            break
+    while current:
+        split = [_abacus(p, t) for p in current]
+        sizes.append(sum(core.size for core, _ in split))
+        current = tuple(c for _, quotient in split for c in quotient if c)
     return tuple(sizes)
 
 

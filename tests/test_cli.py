@@ -54,6 +54,16 @@ class TestTowerCommands:
         assert payload["row_sizes"] == [6, 0, 2]
         assert payload["defect"] == 6
 
+    def test_tower_stops_at_the_last_row_under_the_guard(self, capsys):
+        # Row 1 has 1025 entries, all 1025-cores; row 2 would exceed the
+        # materialisation guard but is never needed.
+        code, out, _ = run_cli(capsys, "tower", "--t", "1025", "1025")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "row 0: () size=0"
+        assert lines[2] == "row 1: " + "() " * 1024 + "(1) size=1"
+        assert lines[3] == "defect=1"
+
 
 class TestSeriesCommand:
     def test_both_mode_emits_a_passing_report(self, capsys):
@@ -89,13 +99,6 @@ class TestSeriesCommand:
             "truncation_order": 5,
             "coeffs": ["1", "1", "2", "0", "2", "1"],
         }
-
-    def test_threads_do_not_change_the_output(self, capsys):
-        args = ["series", "D", "--t", "3", "--order", "8", "--mode", "brute"]
-        code1, serial, _ = run_cli(capsys, *args)
-        code2, parallel, _ = run_cli(capsys, *args, "--threads", "2")
-        assert code1 == code2 == 0
-        assert serial == parallel
 
     def test_brute_ceiling_is_enforced(self, capsys):
         code, _, err = run_cli(
@@ -233,10 +236,11 @@ class TestUsageErrors:
         [
             (("asympt", "defect", "--t", "2", "--samples", "10", "--precision", "0"),
              "precision"),
-            (("series", "D", "--t", "3", "--order", "8", "--mode", "brute",
-              "--threads", "-4"), "--threads"),
+            (("asympt", "transform", "--m", "1", "--eps", "1e-300"), "eps"),
             (("series", "D", "--t", "2", "--order", "5", "--brute-ceiling", "-1"),
              "--brute-ceiling"),
+            (("asympt", "transform", "--m", "1", "--eps", "1e-5"), "eps"),
+            (("tower", "--t", "1025", "1050625"), "too many entries"),
         ],
     )
     def test_out_of_range_settings(self, capsys, argv, flag):

@@ -25,7 +25,7 @@ from coretower import (
     substitute_power,
     truncate,
 )
-from coretower.series import from_json_dict, to_csv, to_json, to_json_dict
+from coretower.series import from_json_dict, to_csv, to_json_dict
 from strategies import small_series_coeffs
 
 
@@ -244,7 +244,7 @@ class TestSerialization:
         assert d["truncation_order"] == 5
         assert d["coeffs"] == ["0", "1", "3", "4", "7", "6"]
         assert from_json_dict(d) == f
-        assert from_json_dict(json.loads(to_json(f))) == f
+        assert from_json_dict(json.loads(json.dumps(to_json_dict(f)))) == f
 
     def test_round_trip_keeps_huge_coefficients_exact(self):
         f = IntSeries((1, 10**40, -(3**101)))
