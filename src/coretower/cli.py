@@ -19,7 +19,7 @@ from mpmath import mp
 from . import asymptotics, genfun
 from . import series as qs
 from .partitions import Partition, make_partition
-from .tower import core_tower, defect, t_core, t_quotient
+from .tower import _defect, core_tower, t_core, t_quotient
 
 PRECISION_ENV = "CORETOWER_PRECISION"
 
@@ -90,7 +90,7 @@ def _cmd_quotient(cfg: CliConfig, args) -> int:
 def _cmd_tower(cfg: CliConfig, args) -> int:
     lam = _parse_partition(args.partition)
     tower = core_tower(lam, args.t)
-    d = defect(lam, args.t)
+    d = _defect(lam, args.t, tower.row_sizes)
     _require_plain_or_json(cfg, "tower output")
     if cfg.fmt == "json":
         _print_json(

@@ -10,9 +10,10 @@ recursion, and monotonicity checkers produce the same report type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
-from .partitions import Partition, enumerate_partitions, partition_count
+from .partitions import enumerate_partitions, partition_count
 from .series import (
     IntSeries,
     divisor_sum_series,
@@ -23,7 +24,7 @@ from .series import (
     series_zero,
     substitute_power,
 )
-from .tower import defect, is_generalized_core, row_size
+from .tower import _defect, tower_row_sizes
 
 Mismatch = tuple[int, int, int]
 
@@ -149,16 +150,33 @@ def row_weight_series(j: int, t: int, order: int) -> IntSeries:
     return div(num, euler_product(order))
 
 
-def _enumerated(statistic: Callable[[Partition], int], order: int) -> IntSeries:
-    """Series whose coefficient of q**n sums statistic over the partitions of n."""
-    sums = (sum(map(statistic, enumerate_partitions(n))) for n in range(order + 1))
-    return IntSeries(tuple(sums))
+@lru_cache(maxsize=None)
+def _census(t: int, n: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """One pass over the partitions of n for modulus t.
+
+    Returns the tower row totals by row index, the total defect, and the
+    number of partitions by tower length (index L counts towers of L rows).
+    Integers only, so the cache holds no partitions.
+    """
+    rows: list[int] = []
+    lengths: list[int] = []
+    defects = 0
+    for lam in enumerate_partitions(n):
+        sizes = tower_row_sizes(lam, t)
+        rows.extend([0] * (len(sizes) - len(rows)))
+        for j, size in enumerate(sizes):
+            rows[j] += size
+        lengths.extend([0] * (len(sizes) + 1 - len(lengths)))
+        lengths[len(sizes)] += 1
+        defects += _defect(lam, t, sizes)
+    return tuple(rows), defects, tuple(lengths)
 
 
 def row_weight_series_brute(j: int, t: int, order: int) -> IntSeries:
     """Brute-force twin of row_weight_series by full enumeration."""
     _check_params(t, j, order)
-    return _enumerated(lambda lam: row_size(lam, t, j), order)
+    rows = (_census(t, n)[0] for n in range(order + 1))
+    return IntSeries(tuple(r[j] if j < len(r) else 0 for r in rows))
 
 
 def defect_series(t: int, order: int) -> IntSeries:
@@ -179,7 +197,7 @@ def defect_series(t: int, order: int) -> IntSeries:
 
 def defect_series_brute(t: int, order: int) -> IntSeries:
     _check_params(t, order=order)
-    return _enumerated(lambda lam: defect(lam, t), order)
+    return IntSeries(tuple(_census(t, n)[1] for n in range(order + 1)))
 
 
 def generalized_core_series(j: int, t: int, order: int) -> IntSeries:
@@ -196,7 +214,7 @@ def generalized_core_series(j: int, t: int, order: int) -> IntSeries:
 
 def generalized_core_series_brute(j: int, t: int, order: int) -> IntSeries:
     _check_params(t, j, order)
-    return _enumerated(lambda lam: is_generalized_core(lam, j, t), order)
+    return IntSeries(tuple(sum(_census(t, n)[2][: j + 2]) for n in range(order + 1)))
 
 
 # Family name -> (closed form, enumeration twin), each called as f(j, t, order);
@@ -236,7 +254,11 @@ def regular_partition_series(t: int, order: int) -> IntSeries:
 
 def regular_partition_counts_brute(t: int, order: int) -> IntSeries:
     _check_params(t, order=order)
-    return _enumerated(lambda lam: all(p % t for p in lam.parts), order)
+    counts = (
+        sum(all(p % t for p in lam.parts) for lam in enumerate_partitions(n))
+        for n in range(order + 1)
+    )
+    return IntSeries(tuple(counts))
 
 
 def check_congruence(t: int, order: int, claim: str = "both") -> VerificationReport:

@@ -30,6 +30,14 @@ class Partition:
                     f"parts[{i - 1}]={parts[i - 1]} < parts[{i}]={part}"
                 )
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """A Partition of parts already known to be positive and weakly
+        decreasing, built without running __post_init__'s checks."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "parts", parts)
+        return lam
+
     @cached_property
     def size(self) -> int:
         """Number of cells of the Young diagram, i.e. the sum of the parts."""
@@ -94,16 +102,43 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return (Partition(p) for p in _descending_parts(n, n))
+    return _zs1(n)
 
 
-def _descending_parts(remaining: int, largest: int) -> Iterator[tuple[int, ...]]:
-    if remaining == 0:
-        yield ()
+def _zs1(n: int) -> Iterator[Partition]:
+    """Zoghbi and Stojmenovic's ZS1: each step lowers the last part above 1
+    by one and refills the tail greedily with that part, in O(1) amortised
+    time; the parts are positive and descending by construction."""
+    trusted = Partition._trusted
+    if n == 0:
+        yield EMPTY
         return
-    for first in range(min(remaining, largest), 0, -1):
-        for rest in _descending_parts(remaining - first, first):
-            yield (first, *rest)
+    x = [1] * n
+    x[0] = n
+    m = 1  # number of parts
+    h = 0  # index of the last part above 1; every later part is 1
+    yield trusted((n,))
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            rest = m - h  # the 1s after x[h], plus the cell taken off it
+            x[h] = r
+            while rest >= r:
+                h += 1
+                x[h] = r
+                rest -= r
+            if rest == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if rest > 1:
+                    h += 1
+                    x[h] = rest
+        yield trusted(tuple(x[:m]))
 
 
 # Memo table for Euler's pentagonal number recurrence.  Grown on demand,

@@ -48,6 +48,9 @@ def _beads(lam: Partition, count: int) -> list[int]:
 
 
 def _partition_from_beads(beads: Sequence[int]) -> Partition:
+    """Decode distinct nonnegative bead positions, as every caller passes;
+    the parts come out positive and weakly decreasing, so they are not
+    checked again."""
     desc = sorted(beads, reverse=True)
     k = len(desc)
     parts = []
@@ -55,7 +58,7 @@ def _partition_from_beads(beads: Sequence[int]) -> Partition:
         p = b - (k - 1 - i)
         if p > 0:
             parts.append(p)
-    return Partition(tuple(parts))
+    return Partition._trusted(tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -208,20 +211,45 @@ def core_tower(lam: Partition, t: int) -> CoreTower:
     return CoreTower(t=t, rows=tuple(rows))
 
 
-@lru_cache(maxsize=None)
 def tower_row_sizes(lam: Partition, t: int) -> tuple[int, ...]:
     """Total size of each tower row, row 0 up to the tower height.
 
-    Sparse equivalent of core_tower(lam, t).row_sizes: empty entries are
-    dropped between levels since they contribute nothing.
+    Sparse equivalent of core_tower(lam, t).row_sizes, computed on bead
+    lists alone: a runner of c beads at positions run holds a quotient
+    component of size sum(run) - c(c-1)/2, and the core has what is left,
+    |lam| - t * (total quotient size).  The beads are not padded to a
+    multiple of t, since no size depends on the bead count, and empty
+    components are dropped between levels since they contribute nothing.
     """
-    # Not _dense_rows: this is the enumeration hot path, so empty entries go.
+    _check_modulus(t)
+    parts = lam.parts
+    k = len(parts)
+    # (beads, size) of each nonempty entry of the current pre-tower row.
+    level = [([p + k - 1 - i for i, p in enumerate(parts)], lam.size)]
     sizes = []
-    current: tuple[Partition, ...] = (lam,)
-    while current:
-        split = [_abacus(p, t) for p in current]
-        sizes.append(sum(core.size for core, _ in split))
-        current = tuple(c for _, quotient in split for c in quotient if c)
+    while level:
+        row = 0
+        next_level = []
+        for beads, size in level:
+            runners: list[list[int]] = [[] for _ in range(t)]
+            for b in beads:
+                runners[b % t].append(b // t)
+            quotient_size = 0
+            for run in runners:
+                c = len(run)
+                q = sum(run) - c * (c - 1) // 2
+                if q:
+                    quotient_size += q
+                    # Beads at 0..s-1 encode zero parts: drop them and shift
+                    # the rest down, so bead lists do not carry padding from
+                    # level to level.  q > 0 means some bead sits above them.
+                    s = 0
+                    while run[c - 1 - s] == s:
+                        s += 1
+                    next_level.append(([b - s for b in run[: c - s]] if s else run, q))
+            row += size - t * quotient_size
+        sizes.append(row)
+        level = next_level
     return tuple(sizes)
 
 
@@ -233,16 +261,20 @@ def row_size(lam: Partition, t: int, j: int) -> int:
     return sizes[j] if j < len(sizes) else 0
 
 
-def defect(lam: Partition, t: int) -> int:
-    """(|lam| - sum of tower row sizes) / (t - 1), always a nonnegative integer."""
-    sizes = tower_row_sizes(lam, t)
-    num = lam.size - sum(sizes)
-    quot, rem = divmod(num, t - 1)
+def _defect(lam: Partition, t: int, sizes: Sequence[int]) -> int:
+    """(|lam| - sum(sizes)) / (t - 1) for lam's tower row sizes; raises
+    ArithmeticError unless that is a nonnegative integer."""
+    quot, rem = divmod(lam.size - sum(sizes), t - 1)
     if rem or quot < 0:
         raise ArithmeticError(
             f"defect of {lam!r} for t={t} is not a nonnegative integer"
         )
     return quot
+
+
+def defect(lam: Partition, t: int) -> int:
+    """(|lam| - sum of tower row sizes) / (t - 1), always a nonnegative integer."""
+    return _defect(lam, t, tower_row_sizes(lam, t))
 
 
 def is_generalized_core(lam: Partition, j: int, t: int) -> bool:

@@ -3,11 +3,13 @@ from math import isqrt
 import pytest
 
 from coretower import (
+    EMPTY,
     VerificationReport,
     check_congruence,
     check_recursion,
     compare_series,
     core_size_totals,
+    core_tower,
     defect_series,
     defect_series_brute,
     enumerate_partitions,
@@ -16,6 +18,7 @@ from coretower import (
     hook_lengths,
     monotonicity_check,
     partition_count,
+    pre_tower_row,
     regular_partition_counts_brute,
     regular_partition_series,
     row_weight_series,
@@ -159,6 +162,66 @@ class TestGeneralizedCoreSeries:
         f = generalized_core_series(6, 2, 20)
         for n in range(21):
             assert f[n] == partition_count(n)
+
+
+class TestEnumerationCensus:
+    """The three brute-force series share one enumeration pass per (t, n)."""
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_brute_series_are_sums_over_the_dense_tower(self, t):
+        # Per-partition statistics from core_tower and pre_tower_row, which
+        # do not use the bead-only row-size kernel; j = 3 is past the tower
+        # height of most of these partitions.
+        order, levels = 16, range(4)
+        rows = [[0] * len(levels) for _ in range(order + 1)]
+        cores = [[0] * len(levels) for _ in range(order + 1)]
+        defects = [0] * (order + 1)
+        for n in range(order + 1):
+            for lam in enumerate_partitions(n):
+                sizes = core_tower(lam, t).row_sizes
+                for j in levels:
+                    rows[n][j] += sizes[j] if j < len(sizes) else 0
+                    cores[n][j] += all(p == EMPTY for p in pre_tower_row(lam, t, j + 1))
+                d, rem = divmod(lam.size - sum(sizes), t - 1)
+                assert rem == 0 and d >= 0
+                defects[n] += d
+        for j in levels:
+            assert row_weight_series_brute(j, t, order).coeffs == tuple(r[j] for r in rows)
+            assert generalized_core_series_brute(j, t, order).coeffs == tuple(
+                c[j] for c in cores
+            )
+        assert defect_series_brute(t, order).coeffs == tuple(defects)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_closed_forms_match_enumeration_past_the_ceiling(self, t):
+        # Order 36 is past the CLI's default brute-force ceiling of 30.
+        order = 36
+        reports = [
+            compare_series(
+                "row-weights",
+                row_weight_series(j, t, order),
+                row_weight_series_brute(j, t, order),
+                t=t,
+                j=j,
+            )
+            for j in (0, 1)
+        ]
+        reports.append(
+            compare_series(
+                "defects", defect_series(t, order), defect_series_brute(t, order), t=t
+            )
+        )
+        reports.append(
+            compare_series(
+                "generalized-cores",
+                generalized_core_series(0, t, order),
+                generalized_core_series_brute(0, t, order),
+                t=t,
+                j=0,
+            )
+        )
+        for report in reports:
+            assert report.passed, report.describe()
 
 
 class TestCoreSizeTotals:

@@ -15,6 +15,17 @@ from coretower import (
 from strategies import partitions
 
 
+def descending_parts(remaining, largest):
+    """Test-only oracle: the recursive reverse-lexicographic enumeration
+    that the iterative generator replaced, as tuples of parts."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, largest), 0, -1):
+        for rest in descending_parts(remaining - first, first):
+            yield (first, *rest)
+
+
 class TestMakePartition:
     def test_worked_example(self):
         lam = make_partition([5, 4, 2, 2, 1])
@@ -114,6 +125,15 @@ class TestEnumeration:
         for n in range(12):
             got = [lam.parts for lam in enumerate_partitions(n)]
             assert got == sorted(got, reverse=True)
+
+    def test_stream_matches_the_recursive_oracle_up_to_30(self):
+        for n in range(31):
+            stream = list(enumerate_partitions(n))
+            assert [lam.parts for lam in stream] == list(descending_parts(n, n))
+            for lam in stream:
+                checked = Partition(lam.parts)
+                assert lam == checked and hash(lam) == hash(checked)
+                assert lam.size == n
 
     def test_counts_match_recurrence_up_to_30(self):
         for n in range(31):

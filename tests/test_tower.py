@@ -123,6 +123,15 @@ class TestQuotient:
         core = t_core(lam, t)
         assert t_quotient(core, t) == (EMPTY,) * t
 
+    def test_decoded_cores_and_quotients_revalidate(self):
+        # Decoding skips Partition's checks; the validating constructor
+        # must accept every decoded result unchanged.
+        for t in (2, 3, 4):
+            for n in range(15):
+                for lam in enumerate_partitions(n):
+                    for x in (t_core(lam, t), *t_quotient(lam, t)):
+                        assert Partition(x.parts) == x
+
 
 class TestReconstruct:
     def test_worked_example_round_trip(self):
