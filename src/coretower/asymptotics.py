@@ -11,6 +11,7 @@ enough to be interesting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple, Sequence
 
 from mpmath import mp
@@ -21,7 +22,7 @@ from .series import divisor_sum
 
 DEFAULT_DPS = 50
 
-_MAX_LAMBERT_TERMS = 10**6
+_MAX_LAMBERT_TERMS = 50_000
 
 
 def ingham_predict(growth_a, power_alpha, scale_ell, n: int, dps: int = DEFAULT_DPS):
@@ -99,20 +100,42 @@ def defect_predict(t: int, n: int, dps: int = DEFAULT_DPS) -> DefectPrediction:
         return DefectPrediction(+main, +np_form)
 
 
+def _lambert_sum(m: int, eps, tol):
+    """sum_n n x**n / (1 - x**n) at x = exp(-m eps), to relative accuracy tol.
+
+    Split at n = d by Dirichlet's hyperbola method, the double sum
+    sum_{n,d} n x**(n d) is sum_k x**(k**2) [k / (1 - x**k)
+    + x**k ((k + 1) - k x**k) / (1 - x**k)**2].  1 - x**k is built up from
+    expm1 by positive steps x**(k-1) (1 - x), so no digits cancel.
+    """
+    x = mp.exp(-m * eps)
+    one_minus_x = -mp.expm1(-m * eps)
+    total = u = mp.mpf(0)  # u = 1 - x**k
+    xk = xkk = mp.mpf(1)  # x**k and x**(k**2)
+    for k in count(1):
+        xkk *= xk * xk * x
+        u += xk * one_minus_x
+        xk *= x
+        term = xkk * (k / u + xk * ((k + 1) - k * xk) / (u * u))
+        total += term
+        if term < tol * total:
+            return total
+
+
 def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
     """Relative gap between two evaluations of sum_n sigma_1(n) q**(m n)
     at q = e**-eps.
 
-    The left side sums the Lambert series directly.  The right side uses
+    The left side sums the Lambert series by _lambert_sum.  The right side uses
     the weight-two Eisenstein inversion
 
         1/24 + pi**2/(6 m**2 eps**2) * (1 - 24 sum sigma_1(n) e**(-4 pi**2 n/(eps m)))
             - 1/(2 m eps),
 
     whose dual sum converges extremely fast.  The identity is exact, so
-    the residual only measures summation and rounding error.  The direct
-    sum needs about (dps + 10) ln(10) / (m eps) terms; past 10**6 terms
-    this raises ValueError instead of summing.
+    the residual only measures summation and rounding error.  The left
+    side needs about sqrt((dps + 10) ln(10) / (m eps)) terms; past
+    _MAX_LAMBERT_TERMS this raises ValueError instead of summing.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -120,25 +143,15 @@ def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
         e = mp.mpf(eps)
         if not 0 < e <= 1:
             raise ValueError("eps must satisfy 0 < eps <= 1")
-        terms = (dps + 10) * mp.log(10) / (m * e)
+        terms = mp.sqrt((dps + 10) * mp.log(10) / (m * e))
         if terms > _MAX_LAMBERT_TERMS:
+            least = mp.nstr(e * (terms / _MAX_LAMBERT_TERMS) ** 2, 3)
             raise ValueError(
-                f"eps {eps} is too small for m={m}: the direct sum would need "
-                f"about {mp.nstr(terms, 3)} terms, more than {_MAX_LAMBERT_TERMS}"
+                f"eps {eps} is too small for m={m} at {dps} digits: the Lambert sum "
+                f"would need over {_MAX_LAMBERT_TERMS} terms (eps must be >= {least})"
             )
         tol = mp.mpf(10) ** (-(dps + 10))
-
-        x = mp.exp(-m * e)
-        lhs = mp.mpf(0)
-        xn = x
-        n = 1
-        while True:
-            term = n * xn / (1 - xn)
-            lhs += term
-            if term < tol * lhs:
-                break
-            xn *= x
-            n += 1
+        lhs = _lambert_sum(m, e, tol)
 
         y = mp.exp(-4 * mp.pi**2 / (e * m))
         dual = mp.mpf(0)

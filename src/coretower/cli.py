@@ -59,9 +59,9 @@ def _require_plain_or_json(cfg: CliConfig, where: str) -> None:
 
 
 def _cmd_core(cfg: CliConfig, args) -> int:
+    _require_plain_or_json(cfg, "core output")
     lam = _parse_partition(args.partition)
     core = t_core(lam, args.t)
-    _require_plain_or_json(cfg, "core output")
     if cfg.fmt == "json":
         _print_json({"t": args.t, "partition": list(lam.parts), "core": list(core.parts)})
     else:
@@ -70,9 +70,9 @@ def _cmd_core(cfg: CliConfig, args) -> int:
 
 
 def _cmd_quotient(cfg: CliConfig, args) -> int:
+    _require_plain_or_json(cfg, "quotient output")
     lam = _parse_partition(args.partition)
     quotient = t_quotient(lam, args.t)
-    _require_plain_or_json(cfg, "quotient output")
     if cfg.fmt == "json":
         _print_json(
             {
@@ -87,20 +87,29 @@ def _cmd_quotient(cfg: CliConfig, args) -> int:
     return 0
 
 
+def _int_list(xs, depth: int) -> str:
+    """xs as json.dumps(xs, indent=2) renders it at the given nesting depth."""
+    if not xs:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + "  " * depth + "]"
+
+
 def _cmd_tower(cfg: CliConfig, args) -> int:
+    _require_plain_or_json(cfg, "tower output")
     lam = _parse_partition(args.partition)
     tower = core_tower(lam, args.t)
     d = _defect(lam, args.t, tower.row_sizes)
-    _require_plain_or_json(cfg, "tower output")
+    # Written directly: json.dumps with indent uses its slow pure-Python encoder.
     if cfg.fmt == "json":
-        _print_json(
-            {
-                "t": args.t,
-                "partition": list(lam.parts),
-                "rows": [[list(p.parts) for p in row] for row in tower.rows],
-                "row_sizes": list(tower.row_sizes),
-                "defect": d,
-            }
+        rows = ",\n    ".join(
+            "[\n      " + ",\n      ".join(_int_list(p.parts, 3) for p in r) + "\n    ]"
+            for r in tower.rows
+        )
+        print(
+            f'{{\n  "t": {args.t},\n  "partition": {_int_list(lam.parts, 1)},\n'
+            f'  "rows": [\n    {rows}\n  ],\n'
+            f'  "row_sizes": {_int_list(tower.row_sizes, 1)},\n  "defect": {d}\n}}'
         )
     else:
         print(f"t={args.t} partition={_fmt_parts(lam)} size={lam.size}")
@@ -152,6 +161,7 @@ def _cmd_series(cfg: CliConfig, args) -> int:
 
 
 def _cmd_verify(cfg: CliConfig, args) -> int:
+    _require_plain_or_json(cfg, "verification reports")
     t, order = args.t, args.order
     if args.what == "congruence":
         reports = [
@@ -162,7 +172,6 @@ def _cmd_verify(cfg: CliConfig, args) -> int:
         reports = [genfun.check_recursion(t, order)]
     else:
         reports = [genfun.monotonicity_check(t, order)]
-    _require_plain_or_json(cfg, "verification reports")
     if cfg.fmt == "json":
         _print_json({"reports": [r.to_json_dict() for r in reports]})
     else:
@@ -196,10 +205,10 @@ def _cmd_asympt_defect(cfg: CliConfig, args) -> int:
 
 
 def _cmd_asympt_transform(cfg: CliConfig, args) -> int:
+    _require_plain_or_json(cfg, "transform output")
     residual = asymptotics.eisenstein_transform_residual(
         args.m, args.eps, dps=cfg.precision
     )
-    _require_plain_or_json(cfg, "transform output")
     if cfg.fmt == "json":
         _print_json({"m": args.m, "eps": args.eps, "residual": mp.nstr(residual, 12)})
     else:

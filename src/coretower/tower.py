@@ -19,11 +19,12 @@ reference data treat quotient tuples as multisets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice
+from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import add, sub
 from typing import Iterator, Sequence
 
-from .partitions import Partition
+from .partitions import EMPTY, Partition
 
 # Materialisation guard for pre-tower rows, which have t**j entries.
 _MAX_ROW_ENTRIES = 1 << 20
@@ -99,20 +100,37 @@ class BetaSet:
         return tuple(tuple(r) for r in out)
 
 
-@lru_cache(maxsize=None)
-def _abacus(lam: Partition, t: int) -> tuple[Partition, tuple[Partition, ...]]:
-    """(t-core, t-quotient) of lam, read off one placement of its beads."""
+def _split(parts: tuple[int, ...], t: int) -> tuple[tuple, list[tuple]]:
+    """Core parts and quotient component parts of the partition with these
+    parts, from one placement of its beads padded to a multiple of t; the
+    core fills the bottom of each runner, so the runner counts give it."""
     _check_modulus(t)
+    n = len(parts)
+    k = _bead_count(n, t)
     runners: list[list[int]] = [[] for _ in range(t)]
-    for b in _beads(lam, _bead_count(len(lam), t)):
-        runners[b % t].append(b // t)
-    slid = [r + t * i for r in range(t) for i in range(len(runners[r]))]
-    return _partition_from_beads(slid), tuple(map(_partition_from_beads, runners))
+    place = [run.append for run in runners]
+    beads = chain(map(add, parts, range(k - 1, -1, -1)), range(k - n - 1, -1, -1))
+    for q, r in map(divmod, beads, repeat(t)):
+        place[r](q)
+    counts = [len(run) for run in runners]
+    core, gaps = [], 0
+    # Below t * min(counts) every position holds a bead with no gap below it.
+    for pos in range(t * min(counts), t * max(counts)):
+        if pos // t >= counts[pos % t]:
+            gaps += 1
+        elif gaps:
+            core.append(gaps)
+    quotient = []
+    for run in runners:
+        # Bead i of c from the top gives part run[i] - (c - 1 - i); zeros trail.
+        q = list(map(sub, run, range(len(run) - 1, -1, -1)))
+        quotient.append(tuple(q[: q.index(0)] if 0 in q else q))
+    return tuple(reversed(core)), quotient
 
 
 def t_core(lam: Partition, t: int) -> Partition:
     """The t-core of lam: no hook length of the result is divisible by t."""
-    return _abacus(lam, t)[0]
+    return Partition._trusted(_split(lam.parts, t)[0])
 
 
 def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
@@ -121,7 +139,7 @@ def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
     Component r is read from the beads in residue class r mod t.  The size
     identity |lam| = |core| + t * (total quotient size) always holds.
     """
-    return _abacus(lam, t)[1]
+    return tuple(Partition._trusted(q) if q else EMPTY for q in _split(lam.parts, t)[1])
 
 
 def is_t_core(lam: Partition, t: int) -> bool:
@@ -154,16 +172,27 @@ def reconstruct(core: Partition, quotient: Sequence[Partition], t: int) -> Parti
     return _partition_from_beads(beads)
 
 
-def _dense_rows(lam: Partition, t: int) -> Iterator[tuple[Partition, ...]]:
-    """Pre-tower rows 0, 1, 2, ... of lam; raises before a row would exceed
-    _MAX_ROW_ENTRIES entries."""
-    _check_modulus(t)
-    row: tuple[Partition, ...] = (lam,)
-    while True:
-        yield row
-        if len(row) * t > _MAX_ROW_ENTRIES:
-            raise ValueError("pre-tower row has too many entries to materialise")
-        row = tuple(c for p in row for c in t_quotient(p, t))
+def _row(t: int, j: int, entries) -> tuple[Partition, ...]:
+    """Row j: the (index, parts) entries, the empty partition at its other t**j
+    places; raises ValueError past _MAX_ROW_ENTRIES, without building t**j."""
+    if t ** min(j, _MAX_ROW_ENTRIES.bit_length()) > _MAX_ROW_ENTRIES:
+        raise ValueError("pre-tower row has too many entries to materialise")
+    row = [EMPTY] * t**j
+    for i, parts in entries:
+        row[i] = Partition._trusted(parts)
+    return tuple(row)
+
+
+def _levels(lam: Partition, t: int) -> Iterator[list]:
+    """(index, parts, core parts, quotient parts) of the nonempty entries of
+    pre-tower rows 0, 1, ...; entry i's component r is entry t*i + r below."""
+    level = [(0, lam.parts)]
+    while level:
+        entries = [(i, parts, *_split(parts, t)) for i, parts in level]
+        yield entries
+        level = [
+            (t * i + r, q) for i, _, _, qs in entries for r, q in enumerate(qs) if q
+        ]
 
 
 def pre_tower_row(lam: Partition, t: int, j: int) -> tuple[Partition, ...]:
@@ -175,7 +204,8 @@ def pre_tower_row(lam: Partition, t: int, j: int) -> tuple[Partition, ...]:
     _check_modulus(t)
     if j < 0:
         raise ValueError("row index j must be nonnegative")
-    return next(islice(_dense_rows(lam, t), j, None))
+    at_j = islice(_levels(lam, t), j, j + 1)  # walked only past _row's guard
+    return _row(t, j, ((i, p) for level in at_j for i, p, _, _ in level if p))
 
 
 @dataclass(frozen=True)
@@ -194,7 +224,7 @@ class CoreTower:
     def height(self) -> int:
         return len(self.rows) - 1
 
-    @property
+    @cached_property
     def row_sizes(self) -> tuple[int, ...]:
         return tuple(sum(p.size for p in row) for row in self.rows)
 
@@ -202,12 +232,10 @@ class CoreTower:
 def core_tower(lam: Partition, t: int) -> CoreTower:
     """The t-core tower of lam, up to its first row of t-cores (the next
     pre-tower row is empty); raises ValueError past _MAX_ROW_ENTRIES."""
-    rows = []
-    for row in _dense_rows(lam, t):
-        cores = tuple(t_core(p, t) for p in row)
-        rows.append(cores)
-        if cores == row:
-            break
+    rows = (
+        _row(t, j, [(i, core) for i, _, core, _ in entries if core])
+        for j, entries in enumerate(_levels(lam, t))
+    )
     return CoreTower(t=t, rows=tuple(rows))
 
 

@@ -2,6 +2,7 @@ import pytest
 from mpmath import mp
 
 from coretower import (
+    asymptotics,
     defect_predict,
     defect_samples,
     defect_series,
@@ -101,7 +102,40 @@ class TestDefectTrend:
         assert defect_samples(2, ()) == []
 
 
+def direct_lambert_sum(m, eps, tol):
+    """sum_n n x**n / (1 - x**n) at x = exp(-m eps), term by term."""
+    x = mp.exp(-m * eps)
+    total = mp.mpf(0)
+    xn = x
+    n = 1
+    while True:
+        term = n * xn / (1 - xn)
+        total += term
+        if term < tol * total:
+            return total
+        xn *= x
+        n += 1
+
+
 class TestEisensteinTransform:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("eps", ["0.01", "0.1", "0.7"])
+    def test_hyperbola_sum_matches_the_direct_sum(self, m, eps):
+        with mp.workdps(65):
+            e = mp.mpf(eps)
+            tol = mp.mpf(10) ** -60
+            split = asymptotics._lambert_sum(m, e, tol)
+            direct = direct_lambert_sum(m, e, tol)
+            assert abs(split - direct) / direct < mp.mpf("1e-55")
+
+    def test_small_eps_within_the_term_limit(self):
+        # About 3.7e3 hyperbola terms; the direct sum would need 1.4e7.
+        assert eisenstein_transform_residual(1, "1e-5", dps=50) < mp.mpf("1e-40")
+
+    def test_term_limit_states_the_smallest_eps(self):
+        with pytest.raises(ValueError, match="eps must be >= 5.53e-8"):
+            eisenstein_transform_residual(1, "5e-8", dps=50)
+
     def test_residual_is_tiny_at_default_precision(self):
         assert eisenstein_transform_residual(1, "0.1", dps=50) < mp.mpf("1e-40")
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import dense_tower
+from coretower import EMPTY, Partition, cli
 from coretower.cli import main
+from strategies import moduli, partitions
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -63,6 +69,64 @@ class TestTowerCommands:
         assert lines[1] == "row 0: () size=0"
         assert lines[2] == "row 1: " + "() " * 1024 + "(1) size=1"
         assert lines[3] == "defect=1"
+
+
+def reference_tower_outputs(lam, t):
+    """(plain, json) stdout of `tower`, rendered the way the CLI once did:
+    print per line and json.dumps(indent=2), over the dense oracle's rows."""
+    rows = dense_tower.core_tower_rows(lam, t)
+    sizes = [sum(p.size for p in row) for row in rows]
+    d = (lam.size - sum(sizes)) // (t - 1)
+
+    def fmt(p):
+        return ",".join(str(x) for x in p.parts)
+
+    lines = [f"t={t} partition={fmt(lam)} size={lam.size}"]
+    for j, row in enumerate(rows):
+        cells = " ".join("(" + fmt(p) + ")" for p in row)
+        lines.append(f"row {j}: {cells} size={sizes[j]}")
+    lines.append(f"defect={d}")
+    payload = {
+        "t": t,
+        "partition": list(lam.parts),
+        "rows": [[list(p.parts) for p in row] for row in rows],
+        "row_sizes": sizes,
+        "defect": d,
+    }
+    return "\n".join(lines) + "\n", json.dumps(payload, indent=2) + "\n"
+
+
+def tower_outputs(lam, t):
+    outputs = []
+    for fmt in ("plain", "json"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            argv = ["tower", "--t", str(t), "--format", fmt, ",".join(map(str, lam.parts))]
+            code = main(argv)
+        assert code == 0
+        outputs.append(buf.getvalue())
+    return tuple(outputs)
+
+
+class TestTowerRenderer:
+    """The direct tower renderer, byte for byte against the old one."""
+
+    @given(partitions(max_part=15, max_len=15), moduli(2, 10))
+    @settings(max_examples=150)
+    def test_random_towers(self, lam, t):
+        assert tower_outputs(lam, t) == reference_tower_outputs(lam, t)
+
+    @pytest.mark.parametrize("t", range(2, 11))
+    def test_empty_partition(self, t):
+        assert tower_outputs(EMPTY, t) == reference_tower_outputs(EMPTY, t)
+
+    @pytest.mark.parametrize(
+        "parts, t",
+        [((1,) * 64, 2), ((20, 17, 11, 11, 6, 3, 3, 1), 3), ((10000,), 10), ((1000,), 7)],
+    )
+    def test_tall_and_wide_towers(self, parts, t):
+        lam = Partition(parts)
+        assert tower_outputs(lam, t) == reference_tower_outputs(lam, t)
 
 
 class TestSeriesCommand:
@@ -239,7 +303,7 @@ class TestUsageErrors:
             (("asympt", "transform", "--m", "1", "--eps", "1e-300"), "eps"),
             (("series", "D", "--t", "2", "--order", "5", "--brute-ceiling", "-1"),
              "--brute-ceiling"),
-            (("asympt", "transform", "--m", "1", "--eps", "1e-5"), "eps"),
+            (("asympt", "transform", "--m", "1", "--eps", "1e-8"), "eps"),
             (("tower", "--t", "1025", "1050625"), "too many entries"),
         ],
     )
@@ -249,6 +313,32 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv, target, where",
+        [
+            (("core", "--t", "2", "3,1"), (cli, "t_core"), "core output"),
+            (("quotient", "--t", "2", "3,1"), (cli, "t_quotient"), "quotient output"),
+            (("tower", "--t", "2", "3,1"), (cli, "core_tower"), "tower output"),
+            (("verify", "congruence", "--t", "2", "--order", "20"),
+             (cli.genfun, "check_congruence"), "verification reports"),
+            (("verify", "recursion", "--t", "2", "--order", "20"),
+             (cli.genfun, "check_recursion"), "verification reports"),
+            (("verify", "monotone", "--t", "2", "--order", "20"),
+             (cli.genfun, "monotonicity_check"), "verification reports"),
+            (("asympt", "transform", "--m", "1", "--eps", "0.0003"),
+             (cli.asymptotics, "eisenstein_transform_residual"), "transform output"),
+        ],
+    )
+    def test_csv_is_refused_before_any_work(self, capsys, monkeypatch, argv, target, where):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{target[1]} ran before the format check")
+
+        monkeypatch.setattr(*target, must_not_run)
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: csv format is not available for {where}\n"
 
     def test_non_integer_precision_env_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("CORETOWER_PRECISION", "fifty")

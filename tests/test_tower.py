@@ -22,6 +22,7 @@ from coretower import (
     t_quotient,
     tower_row_sizes,
 )
+import dense_tower
 from strategies import moduli, partitions
 
 WORKED = Partition((5, 4, 2, 2, 1))
@@ -223,6 +224,39 @@ class TestTower:
                         head = sum(t**k * row_size(lam, t, k) for k in range(j + 1))
                         tail = sum(p.size for p in pre_tower_row(lam, t, j + 1))
                         assert lam.size == head + t ** (j + 1) * tail
+
+
+class TestSparseWalk:
+    """The sparse bead walk against the dense oracle in dense_tower."""
+
+    @staticmethod
+    def check(lam, t):
+        assert (t_core(lam, t), t_quotient(lam, t)) == dense_tower.split(lam, t)
+        rows = dense_tower.core_tower_rows(lam, t)
+        assert core_tower(lam, t).rows == rows
+        # One row past the height is the first all-empty pre-tower row.
+        for j, row in zip(range(len(rows) + 1), dense_tower.pre_tower_rows(lam, t)):
+            assert pre_tower_row(lam, t, j) == row
+
+    @given(partitions(max_part=12, max_len=12), moduli(2, 10))
+    @settings(max_examples=200)
+    def test_matches_the_dense_walk(self, lam, t):
+        self.check(lam, t)
+
+    @given(partitions(max_part=40, max_len=40), moduli(2, 4))
+    @settings(max_examples=40)
+    def test_matches_the_dense_walk_on_taller_towers(self, lam, t):
+        self.check(lam, t)
+
+    @pytest.mark.parametrize("t", range(2, 11))
+    def test_empty_partition(self, t):
+        self.check(EMPTY, t)
+
+    def test_row_guard_boundary(self):
+        assert len(pre_tower_row(EMPTY, 2, 20)) == 1 << 20
+        for j in (21, 10**9):  # 2**(10**9) is never built
+            with pytest.raises(ValueError, match="too many entries"):
+                pre_tower_row(EMPTY, 2, j)
 
 
 class TestDefect:
