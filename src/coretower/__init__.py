@@ -15,7 +15,6 @@ from .series import (
     add,
     div,
     divisor_sum_series,
-    divisor_sum_series_lambert,
     euler_product,
     mul,
     negate,
@@ -28,7 +27,6 @@ from .series import (
     truncate,
 )
 from .tower import (
-    BetaSet,
     CoreTower,
     core_tower,
     defect,
@@ -36,10 +34,8 @@ from .tower import (
     is_t_core,
     pre_tower_row,
     reconstruct,
-    removable_rim_hooks,
     row_size,
     t_core,
-    t_core_by_rim_hooks,
     t_quotient,
     tower_row_sizes,
 )
@@ -54,7 +50,6 @@ from .genfun import (
     generalized_core_series,
     generalized_core_series_brute,
     monotonicity_check,
-    regular_partition_counts_brute,
     regular_partition_series,
     row_weight_series,
     row_weight_series_brute,

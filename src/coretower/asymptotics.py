@@ -135,7 +135,8 @@ def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
     whose dual sum converges extremely fast.  The identity is exact, so
     the residual only measures summation and rounding error.  The left
     side needs about sqrt((dps + 10) ln(10) / (m eps)) terms; past
-    _MAX_LAMBERT_TERMS this raises ValueError instead of summing.
+    _MAX_LAMBERT_TERMS this raises ValueError instead of summing.  So does
+    m eps > 15 ln(10), where the right side cancels past the guard digits.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -143,6 +144,16 @@ def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
         e = mp.mpf(eps)
         if not 0 < e <= 1:
             raise ValueError("eps must satisfy 0 < eps <= 1")
+        # The right side cancels to about e**(-m eps), which past this eps
+        # would eat all 15 guard digits; the bound is shown rounded down.
+        most = 15 * mp.log(10) / m
+        if e > most:
+            scale = mp.mpf(10) ** (mp.floor(mp.log10(most)) - 2)
+            raise ValueError(
+                f"eps {eps} is too large for m={m}: the right side would cancel "
+                f"past the 15 guard digits (eps must be <= "
+                f"{mp.nstr(mp.floor(most / scale) * scale, 3)})"
+            )
         terms = mp.sqrt((dps + 10) * mp.log(10) / (m * e))
         if terms > _MAX_LAMBERT_TERMS:
             least = mp.nstr(e * (terms / _MAX_LAMBERT_TERMS) ** 2, 3)

@@ -34,11 +34,10 @@ class CliConfig:
 def _parse_partition(text: str) -> Partition:
     if text == "":
         return Partition()
-    try:
-        parts = tuple(int(piece) for piece in text.split(","))
-    except ValueError:
+    pieces = text.split(",")
+    if not all(piece.isascii() and piece.isdigit() for piece in pieces):
         raise ValueError(f"bad partition syntax {text!r}; expected comma-separated parts")
-    return make_partition(parts)
+    return make_partition(tuple(map(int, pieces)))
 
 
 def _fmt_parts(lam: Partition) -> str:

@@ -252,15 +252,6 @@ def regular_partition_series(t: int, order: int) -> IntSeries:
     return div(pochhammer_inf(t, 1, order), euler_product(order))
 
 
-def regular_partition_counts_brute(t: int, order: int) -> IntSeries:
-    _check_params(t, order=order)
-    counts = (
-        sum(all(p % t for p in lam.parts) for lam in enumerate_partitions(n))
-        for n in range(order + 1)
-    )
-    return IntSeries(tuple(counts))
-
-
 def check_congruence(t: int, order: int, claim: str = "both") -> VerificationReport:
     """Checks core-size congruences mod t**2 against exact values.
 

@@ -249,17 +249,6 @@ def divisor_sum_series(order: int) -> IntSeries:
     return IntSeries((0,) + tuple(divisor_sum(n) for n in range(1, order + 1)))
 
 
-def divisor_sum_series_lambert(order: int) -> IntSeries:
-    """Same series via the Lambert form: sum of n q**n / (1 - q**n)."""
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    out = [0] * (order + 1)
-    for n in range(1, order + 1):
-        for multiple in range(n, order + 1, n):
-            out[multiple] += n
-    return IntSeries(tuple(out))
-
-
 def to_json_dict(a: IntSeries) -> dict:
     """JSON form with coefficients as decimal strings (they outgrow doubles)."""
     return {

@@ -40,64 +40,18 @@ def _bead_count(length: int, t: int) -> int:
     return length if length % t == 0 else length + (t - length % t)
 
 
-def _beads(lam: Partition, count: int) -> list[int]:
-    """Beta-set of lam padded to the given bead count, descending."""
-    parts = lam.parts
-    return [
-        (parts[i] if i < len(parts) else 0) + (count - 1 - i) for i in range(count)
-    ]
+def _beads(parts: Sequence[int], count: int) -> Iterator[int]:
+    """Beta-set of the partition with these parts, padded with zero parts up
+    to count beads, descending: part i sits at parts[i] + (count - 1 - i)."""
+    pads = range(count - len(parts) - 1, -1, -1)
+    return chain(map(add, parts, range(count - 1, -1, -1)), pads)
 
 
-def _partition_from_beads(beads: Sequence[int]) -> Partition:
-    """Decode distinct nonnegative bead positions, as every caller passes;
-    the parts come out positive and weakly decreasing, so they are not
-    checked again."""
-    desc = sorted(beads, reverse=True)
-    k = len(desc)
-    parts = []
-    for i, b in enumerate(desc):
-        p = b - (k - 1 - i)
-        if p > 0:
-            parts.append(p)
-    return Partition._trusted(tuple(parts))
-
-
-@dataclass(frozen=True)
-class BetaSet:
-    """Strictly decreasing bead positions encoding a partition on the abacus."""
-
-    beads: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        beads = self.beads
-        for i, b in enumerate(beads):
-            if b < 0:
-                raise ValueError(f"bead position {b} is negative")
-            if i > 0 and beads[i - 1] <= b:
-                raise ValueError("bead positions must be strictly decreasing")
-
-    @classmethod
-    def from_partition(cls, lam: Partition, bead_count: int | None = None) -> "BetaSet":
-        if bead_count is None:
-            bead_count = len(lam)
-        if bead_count < len(lam):
-            raise ValueError("bead count smaller than the number of parts")
-        return cls(tuple(_beads(lam, bead_count)))
-
-    def to_partition(self) -> Partition:
-        return _partition_from_beads(self.beads)
-
-    @property
-    def bead_count(self) -> int:
-        return len(self.beads)
-
-    def runners(self, t: int) -> tuple[tuple[int, ...], ...]:
-        """Beads per residue class mod t, each divided down to runner positions."""
-        _check_modulus(t)
-        out: list[list[int]] = [[] for _ in range(t)]
-        for b in self.beads:
-            out[b % t].append((b - b % t) // t)
-        return tuple(tuple(r) for r in out)
+def _parts(desc_beads: Sequence[int]) -> tuple[int, ...]:
+    """Parts of the partition with these distinct descending beads: bead i
+    of c gives part b - (c - 1 - i), and the zero parts trail."""
+    q = list(map(sub, desc_beads, range(len(desc_beads) - 1, -1, -1)))
+    return tuple(q[: q.index(0)] if 0 in q else q)
 
 
 def _split(parts: tuple[int, ...], t: int) -> tuple[tuple, list[tuple]]:
@@ -105,12 +59,9 @@ def _split(parts: tuple[int, ...], t: int) -> tuple[tuple, list[tuple]]:
     parts, from one placement of its beads padded to a multiple of t; the
     core fills the bottom of each runner, so the runner counts give it."""
     _check_modulus(t)
-    n = len(parts)
-    k = _bead_count(n, t)
     runners: list[list[int]] = [[] for _ in range(t)]
     place = [run.append for run in runners]
-    beads = chain(map(add, parts, range(k - 1, -1, -1)), range(k - n - 1, -1, -1))
-    for q, r in map(divmod, beads, repeat(t)):
+    for q, r in map(divmod, _beads(parts, _bead_count(len(parts), t)), repeat(t)):
         place[r](q)
     counts = [len(run) for run in runners]
     core, gaps = [], 0
@@ -120,12 +71,7 @@ def _split(parts: tuple[int, ...], t: int) -> tuple[tuple, list[tuple]]:
             gaps += 1
         elif gaps:
             core.append(gaps)
-    quotient = []
-    for run in runners:
-        # Bead i of c from the top gives part run[i] - (c - 1 - i); zeros trail.
-        q = list(map(sub, run, range(len(run) - 1, -1, -1)))
-        quotient.append(tuple(q[: q.index(0)] if 0 in q else q))
-    return tuple(reversed(core)), quotient
+    return tuple(reversed(core)), list(map(_parts, runners))
 
 
 def t_core(lam: Partition, t: int) -> Partition:
@@ -163,13 +109,10 @@ def reconstruct(core: Partition, quotient: Sequence[Partition], t: int) -> Parti
     pad = max((len(q) for q in quotient), default=0)
     k = _bead_count(len(core), t) + t * pad
     counts = [0] * t
-    for b in _beads(core, k):
+    for b in _beads(core.parts, k):
         counts[b % t] += 1
-    beads: list[int] = []
-    for r in range(t):
-        for v in _beads(quotient[r], counts[r]):
-            beads.append(t * v + r)
-    return _partition_from_beads(beads)
+    beads = [t * v + r for r in range(t) for v in _beads(quotient[r].parts, counts[r])]
+    return Partition._trusted(_parts(sorted(beads, reverse=True)))
 
 
 def _row(t: int, j: int, entries) -> tuple[Partition, ...]:
@@ -250,10 +193,8 @@ def tower_row_sizes(lam: Partition, t: int) -> tuple[int, ...]:
     components are dropped between levels since they contribute nothing.
     """
     _check_modulus(t)
-    parts = lam.parts
-    k = len(parts)
     # (beads, size) of each nonempty entry of the current pre-tower row.
-    level = [([p + k - 1 - i for i, p in enumerate(parts)], lam.size)]
+    level = [(_beads(lam.parts, len(lam)), lam.size)]
     sizes = []
     while level:
         row = 0
@@ -313,44 +254,3 @@ def is_generalized_core(lam: Partition, j: int, t: int) -> bool:
     if j < 0:
         raise ValueError("row index j must be nonnegative")
     return len(tower_row_sizes(lam, t)) <= j + 1
-
-
-def removable_rim_hooks(lam: Partition, t: int) -> list[tuple[int, int, Partition]]:
-    """All ways to remove one rim hook of length t, as (top_row, bottom_row, result).
-
-    Works directly on the part lists, with no abacus involved: a removable
-    rim hook spanning rows a..b (0-based) forces the intermediate new parts
-    to hug the old boundary, leaving one consistency condition on row b.
-    """
-    parts = lam.parts
-    k = len(parts)
-    found = []
-    for a in range(k):
-        for b in range(a, k):
-            last = parts[a] + (b - a) - t
-            below = parts[b + 1] if b + 1 < k else 0
-            if below <= last <= parts[b] - 1:
-                new = (
-                    list(parts[:a])
-                    + [parts[i + 1] - 1 for i in range(a, b)]
-                    + [last]
-                    + list(parts[b + 1 :])
-                )
-                found.append((a, b, Partition(tuple(p for p in new if p > 0))))
-    return found
-
-
-def t_core_by_rim_hooks(lam: Partition, t: int) -> Partition:
-    """t-core computed by greedy rim-hook deletion, as an independent cross-check.
-
-    Deletes the removable t-rim-hook with the largest row indices first;
-    any deletion order reaches the same core, which is what the abacus
-    comparison tests assert.
-    """
-    _check_modulus(t)
-    current = lam
-    while True:
-        hooks = removable_rim_hooks(current, t)
-        if not hooks:
-            return current
-        current = max(hooks, key=lambda h: (h[0], h[1]))[2]

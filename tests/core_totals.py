@@ -6,7 +6,8 @@ directly.  Neither route reads the closed form that `check_congruence`
 uses.
 """
 
-from coretower import enumerate_partitions, t_core, t_core_by_rim_hooks
+from coretower import enumerate_partitions, t_core
+from oracles import t_core_by_rim_hooks
 
 # Every first counterexample for t = 2..7 lies at n <= 7; the bound only
 # keeps a broken core routine from sending the scan into huge n.

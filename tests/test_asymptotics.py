@@ -155,6 +155,11 @@ class TestEisensteinTransform:
         with pytest.raises(ValueError):
             eisenstein_transform_residual(1, "0")
 
+    def test_rejects_eps_where_the_right_side_cancels(self):
+        # m eps = 1000 would leave the right side near e**-1000.
+        with pytest.raises(ValueError, match="eps must be <= 0.0345"):
+            eisenstein_transform_residual(1000, "1")
+
 
 class TestEtaGrowth:
     def test_ladder_ratio_tends_to_one_monotonically(self):

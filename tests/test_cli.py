@@ -281,6 +281,13 @@ class TestUsageErrors:
         assert code == 2
         assert "partition syntax" in err
 
+    # int() accepts each of these; the parts must be plain ASCII digits.
+    @pytest.mark.parametrize("text", ["1_0", "+3", " 3", "3, 1", "\u0663"])
+    def test_partition_text_must_be_plain_digits(self, capsys, text):
+        code, out, err = run_cli(capsys, "core", "--t", "2", text)
+        assert (code, out) == (2, "")
+        assert "partition syntax" in err
+
     def test_increasing_parts(self, capsys):
         code, _, _ = run_cli(capsys, "core", "--t", "2", "2,3")
         assert code == 2
@@ -305,6 +312,8 @@ class TestUsageErrors:
              "--brute-ceiling"),
             (("asympt", "transform", "--m", "1", "--eps", "1e-8"), "eps"),
             (("tower", "--t", "1025", "1050625"), "too many entries"),
+            (("asympt", "transform", "--m", "100", "--eps", "1"),
+             "eps must be <= 0.345"),
         ],
     )
     def test_out_of_range_settings(self, capsys, argv, flag):

@@ -19,7 +19,6 @@ from coretower import (
     monotonicity_check,
     partition_count,
     pre_tower_row,
-    regular_partition_counts_brute,
     regular_partition_series,
     row_weight_series,
     row_weight_series_brute,
@@ -27,6 +26,7 @@ from coretower import (
 )
 from coretower.series import IntSeries
 from core_totals import first_nonvanishing_multiple
+from oracles import regular_partition_counts_brute
 
 # Values frozen from the brute-force enumerators; the closed forms must
 # reproduce them exactly.

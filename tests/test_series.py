@@ -11,7 +11,6 @@ from coretower import (
     add,
     div,
     divisor_sum_series,
-    divisor_sum_series_lambert,
     enumerate_partitions,
     euler_product,
     mul,
@@ -26,6 +25,7 @@ from coretower import (
     truncate,
 )
 from coretower.series import from_json_dict, to_csv, to_json_dict
+from oracles import divisor_sum_series_lambert
 from strategies import small_series_coeffs
 
 
