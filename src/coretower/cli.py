@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from mpmath import mp
 
@@ -24,20 +23,19 @@ from .tower import _defect, core_tower, t_core, t_quotient
 PRECISION_ENV = "CORETOWER_PRECISION"
 
 
-@dataclass
-class CliConfig:
-    fmt: str = "plain"
-    precision: int = 50
-    brute_ceiling: int = 30
+def _parse_ints(text: str, error: str) -> tuple[int, ...]:
+    """The comma-separated plain ASCII digit runs of text, else ValueError(error)."""
+    pieces = text.split(",")
+    if not all(piece.isascii() and piece.isdigit() for piece in pieces):
+        raise ValueError(error)
+    return tuple(map(int, pieces))
 
 
 def _parse_partition(text: str) -> Partition:
     if text == "":
         return Partition()
-    pieces = text.split(",")
-    if not all(piece.isascii() and piece.isdigit() for piece in pieces):
-        raise ValueError(f"bad partition syntax {text!r}; expected comma-separated parts")
-    return make_partition(tuple(map(int, pieces)))
+    error = f"bad partition syntax {text!r}; expected comma-separated parts"
+    return make_partition(_parse_ints(text, error))
 
 
 def _fmt_parts(lam: Partition) -> str:
@@ -52,27 +50,20 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _require_plain_or_json(cfg: CliConfig, where: str) -> None:
-    if cfg.fmt == "csv":
-        raise ValueError(f"csv format is not available for {where}")
-
-
-def _cmd_core(cfg: CliConfig, args) -> int:
-    _require_plain_or_json(cfg, "core output")
+def _cmd_core(args) -> int:
     lam = _parse_partition(args.partition)
     core = t_core(lam, args.t)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _print_json({"t": args.t, "partition": list(lam.parts), "core": list(core.parts)})
     else:
         print(_fmt_parts(core))
     return 0
 
 
-def _cmd_quotient(cfg: CliConfig, args) -> int:
-    _require_plain_or_json(cfg, "quotient output")
+def _cmd_quotient(args) -> int:
     lam = _parse_partition(args.partition)
     quotient = t_quotient(lam, args.t)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _print_json(
             {
                 "t": args.t,
@@ -94,13 +85,12 @@ def _int_list(xs, depth: int) -> str:
     return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + "  " * depth + "]"
 
 
-def _cmd_tower(cfg: CliConfig, args) -> int:
-    _require_plain_or_json(cfg, "tower output")
+def _cmd_tower(args) -> int:
     lam = _parse_partition(args.partition)
     tower = core_tower(lam, args.t)
     d = _defect(lam, args.t, tower.row_sizes)
     # Written directly: json.dumps with indent uses its slow pure-Python encoder.
-    if cfg.fmt == "json":
+    if args.format == "json":
         rows = ",\n    ".join(
             "[\n      " + ",\n      ".join(_int_list(p.parts, 3) for p in r) + "\n    ]"
             for r in tower.rows
@@ -119,7 +109,10 @@ def _cmd_tower(cfg: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_series(cfg: CliConfig, args) -> int:
+def _cmd_series(args) -> int:
+    ceiling = args.brute_ceiling
+    if ceiling < 0:
+        raise ValueError(f"--brute-ceiling must be nonnegative, got {ceiling}")
     family = args.family
     if family in ("T", "cores") and args.j is None:
         raise ValueError(f"series {family} requires --j")
@@ -127,14 +120,15 @@ def _cmd_series(cfg: CliConfig, args) -> int:
         raise ValueError("series D takes no --j")
     j = args.j if args.j is not None else 0
     order = args.order
-    if args.mode in ("brute", "both") and order > cfg.brute_ceiling:
+    if args.mode in ("brute", "both") and order > ceiling:
         raise ValueError(
-            f"order {order} exceeds the brute-force ceiling {cfg.brute_ceiling}; "
+            f"order {order} exceeds the brute-force ceiling {ceiling}; "
             f"raise --brute-ceiling explicitly if you mean it"
         )
     closed_form, enumerated = genfun.FAMILIES[family]
     if args.mode == "both":
-        _require_plain_or_json(cfg, "verification reports")
+        if args.format == "csv":
+            raise ValueError("csv format is not available for verification reports")
         report = genfun.compare_series(
             f"series.{family}",
             closed_form(j, args.t, order),
@@ -142,16 +136,16 @@ def _cmd_series(cfg: CliConfig, args) -> int:
             t=args.t,
             j=args.j,
         )
-        if cfg.fmt == "json":
+        if args.format == "json":
             _print_json(report.to_json_dict())
         else:
             print(report.describe())
         return 0 if report.passed else 1
 
     result = (closed_form if args.mode == "closed" else enumerated)(j, args.t, order)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _print_json(qs.to_json_dict(result))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         sys.stdout.write(qs.to_csv(result))
     else:
         for n, c in enumerate(result.coeffs):
@@ -159,8 +153,7 @@ def _cmd_series(cfg: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_verify(cfg: CliConfig, args) -> int:
-    _require_plain_or_json(cfg, "verification reports")
+def _cmd_verify(args) -> int:
     t, order = args.t, args.order
     if args.what == "congruence":
         reports = [
@@ -171,7 +164,7 @@ def _cmd_verify(cfg: CliConfig, args) -> int:
         reports = [genfun.check_recursion(t, order)]
     else:
         reports = [genfun.monotonicity_check(t, order)]
-    if cfg.fmt == "json":
+    if args.format == "json":
         _print_json({"reports": [r.to_json_dict() for r in reports]})
     else:
         for r in reports:
@@ -179,13 +172,24 @@ def _cmd_verify(cfg: CliConfig, args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_asympt_defect(cfg: CliConfig, args) -> int:
-    try:
-        ns = tuple(int(piece) for piece in args.samples.split(","))
-    except ValueError:
-        raise ValueError(f"bad sample list {args.samples!r}")
-    samples = asymptotics.defect_samples(args.t, ns, dps=cfg.precision)
-    if cfg.fmt == "json":
+def _precision(args) -> int:
+    """--precision, else $CORETOWER_PRECISION, else 50; at least 1."""
+    precision = args.precision
+    if precision is None:
+        raw = os.environ.get(PRECISION_ENV, "50")
+        try:
+            precision = int(raw)
+        except ValueError:
+            raise ValueError(f"${PRECISION_ENV} must be an integer, got {raw!r}")
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1, got {precision}")
+    return precision
+
+
+def _cmd_asympt_defect(args) -> int:
+    ns = _parse_ints(args.samples, f"bad sample list {args.samples!r}")
+    samples = asymptotics.defect_samples(args.t, ns, dps=_precision(args))
+    if args.format == "json":
         _print_json(
             [
                 {
@@ -203,38 +207,15 @@ def _cmd_asympt_defect(cfg: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_asympt_transform(cfg: CliConfig, args) -> int:
-    _require_plain_or_json(cfg, "transform output")
+def _cmd_asympt_transform(args) -> int:
     residual = asymptotics.eisenstein_transform_residual(
-        args.m, args.eps, dps=cfg.precision
+        args.m, args.eps, dps=_precision(args)
     )
-    if cfg.fmt == "json":
+    if args.format == "json":
         _print_json({"m": args.m, "eps": args.eps, "residual": mp.nstr(residual, 12)})
     else:
         print(f"residual {mp.nstr(residual, 12)}")
     return 0
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("plain", "json", "csv"),
-        default="plain",
-        help="output format (default plain)",
-    )
-    parser.add_argument(
-        "--precision",
-        type=int,
-        default=None,
-        help=f"working decimal digits for float evaluations "
-        f"(default 50, override with ${PRECISION_ENV})",
-    )
-    parser.add_argument(
-        "--brute-ceiling",
-        type=int,
-        default=30,
-        help="largest order allowed for brute-force enumeration (default 30)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,14 +224,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact t-core tower statistics and series verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command takes --format; one without a csv form names itself in
+    # no_csv, and main refuses csv before any work.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
+        "--format",
+        choices=("plain", "json", "csv"),
+        default="plain",
+        help="output format (default plain)",
+    )
+    fmt.set_defaults(no_csv=None)
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument(
+        "--precision",
+        type=int,
+        default=None,
+        help=f"working decimal digits for float evaluations "
+        f"(default 50, override with ${PRECISION_ENV})",
+    )
 
     for name, handler, blurb in (
         ("core", _cmd_core, "t-core of a partition"),
         ("quotient", _cmd_quotient, "t-quotient components of a partition"),
         ("tower", _cmd_tower, "core tower rows, row sizes, and defect"),
     ):
-        p = sub.add_parser(name, help=blurb)
-        _add_common(p)
+        p = sub.add_parser(name, help=blurb, parents=[fmt])
         p.add_argument("--t", type=int, required=True, help="modulus, at least 2")
         p.add_argument(
             "partition",
@@ -258,10 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
             default="",
             help="comma-separated parts; empty for the empty partition",
         )
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, no_csv=f"{name} output")
 
-    p = sub.add_parser("series", help="exact series, closed form or brute force")
-    _add_common(p)
+    p = sub.add_parser(
+        "series", help="exact series, closed form or brute force", parents=[fmt]
+    )
+    p.add_argument(
+        "--brute-ceiling",
+        type=int,
+        default=30,
+        help="largest order allowed for brute-force enumeration (default 30)",
+    )
     p.add_argument("family", choices=tuple(genfun.FAMILIES))
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--j", type=int, default=None, help="tower row (T and cores only)")
@@ -269,51 +274,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("closed", "brute", "both"), default="closed")
     p.set_defaults(handler=_cmd_series)
 
-    p = sub.add_parser("verify", help="run an identity or congruence check")
-    _add_common(p)
+    p = sub.add_parser(
+        "verify", help="run an identity or congruence check", parents=[fmt]
+    )
     p.add_argument("what", choices=("congruence", "recursion", "monotone"))
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--order", type=int, default=100)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, no_csv="verification reports")
 
     p = sub.add_parser("asympt", help="asymptotic comparisons")
     asympt_sub = p.add_subparsers(dest="target", required=True)
 
-    pd = asympt_sub.add_parser("defect", help="exact vs predicted total defects")
-    _add_common(pd)
+    pd = asympt_sub.add_parser(
+        "defect", help="exact vs predicted total defects", parents=[fmt, precision]
+    )
     pd.add_argument("--t", type=int, required=True)
     pd.add_argument("--samples", default="100,200,400", help="comma-separated sizes")
     pd.set_defaults(handler=_cmd_asympt_defect)
 
-    pt = asympt_sub.add_parser("transform", help="Eisenstein inversion residual")
-    _add_common(pt)
+    pt = asympt_sub.add_parser(
+        "transform", help="Eisenstein inversion residual", parents=[fmt, precision]
+    )
     pt.add_argument("--m", type=int, required=True)
     pt.add_argument("--eps", required=True, help="decimal in (0, 1]")
-    pt.set_defaults(handler=_cmd_asympt_transform)
+    pt.set_defaults(handler=_cmd_asympt_transform, no_csv="transform output")
 
     return parser
-
-
-def _config(args) -> CliConfig:
-    """Validated settings; a bad value raises ValueError, never a traceback."""
-    precision = args.precision
-    if precision is None:
-        raw = os.environ.get(PRECISION_ENV, "50")
-        try:
-            precision = int(raw)
-        except ValueError:
-            raise ValueError(f"${PRECISION_ENV} must be an integer, got {raw!r}")
-    if precision < 1:
-        raise ValueError(f"precision must be at least 1, got {precision}")
-    if args.brute_ceiling < 0:
-        raise ValueError(
-            f"--brute-ceiling must be nonnegative, got {args.brute_ceiling}"
-        )
-    return CliConfig(
-        fmt=args.format,
-        precision=precision,
-        brute_ceiling=args.brute_ceiling,
-    )
 
 
 def main(argv=None) -> int:
@@ -323,7 +309,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(_config(args), args)
+        if args.format == "csv" and args.no_csv:
+            raise ValueError(f"csv format is not available for {args.no_csv}")
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

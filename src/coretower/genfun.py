@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from itertools import count
+from typing import Callable, Iterable
 
 from .partitions import enumerate_partitions, partition_count
 from .series import (
@@ -20,9 +21,7 @@ from .series import (
     euler_product,
     div,
     pochhammer_inf,
-    series_one,
     series_zero,
-    substitute_power,
 )
 from .tower import _defect, tower_row_sizes
 
@@ -93,6 +92,11 @@ def _report(
     return VerificationReport(name, t, j, order, status, mismatch)
 
 
+def _first(triples: Iterable[Mismatch]) -> Mismatch | None:
+    """The first (n, got, want) with got != want, or None."""
+    return next(((n, got, want) for n, got, want in triples if got != want), None)
+
+
 def compare_series(
     identity_name: str,
     closed: IntSeries,
@@ -103,11 +107,7 @@ def compare_series(
     """Coefficientwise comparison of two series of equal truncation order."""
     if closed.truncation_order != brute.truncation_order:
         raise ValueError("compared series must have equal truncation orders")
-    mismatch = None
-    for n, (c, b) in enumerate(zip(closed.coeffs, brute.coeffs)):
-        if c != b:
-            mismatch = (n, c, b)
-            break
+    mismatch = _first(zip(count(), closed.coeffs, brute.coeffs))
     return _report(identity_name, t, j, closed.truncation_order, mismatch)
 
 
@@ -120,14 +120,16 @@ def _check_params(t: int, j: int = 0, order: int = 0) -> None:
         raise ValueError("truncation order must be nonnegative")
 
 
-def _power_within(base: int, exponent: int, cap: int) -> int | None:
-    """base**exponent, or None as soon as it exceeds cap."""
-    p = 1
-    for _ in range(exponent):
-        p *= base
-        if p > cap:
-            return None
-    return p
+def _sigma_over_eta(order: int, weights: Iterable[tuple[int, int]]) -> IntSeries:
+    """(Sum of c S(q**m) over the pairs (m, c) with m <= order) / (q;q)_inf,
+    with S the divisor-sum series; a pair with m > order vanishes below the
+    truncation."""
+    g = divisor_sum_series(order).coeffs
+    num = [0] * (order + 1)
+    for m, c in weights:
+        if m <= order:
+            num[::m] = [a + c * s for a, s in zip(num[::m], g)]
+    return div(IntSeries(tuple(num)), euler_product(order))
 
 
 def row_weight_series(j: int, t: int, order: int) -> IntSeries:
@@ -135,19 +137,12 @@ def row_weight_series(j: int, t: int, order: int) -> IntSeries:
     size of tower row j over all partitions of n.
 
     Assembled as (t**j S(q**(t**j)) - t**(j+2) S(q**(t**(j+1)))) / (q;q)_inf
-    with S the divisor-sum series; terms whose substitution exponent
-    exceeds the order vanish identically below the truncation.
+    with S the divisor-sum series.  The power t**j is capped at
+    t**order.bit_length(), which already exceeds the order.
     """
     _check_params(t, j, order)
-    g = divisor_sum_series(order)
-    num = series_zero(order)
-    m1 = _power_within(t, j, order)
-    if m1 is not None:
-        num = num + m1 * substitute_power(g, m1)
-    m2 = _power_within(t, j + 1, order)
-    if m2 is not None:
-        num = num - (m2 * t) * substitute_power(g, m2)
-    return div(num, euler_product(order))
+    m = t ** min(j, order.bit_length())
+    return _sigma_over_eta(order, ((m, m), (t * m, -t * t * m)))
 
 
 @lru_cache(maxsize=None)
@@ -186,13 +181,8 @@ def defect_series(t: int, order: int) -> IntSeries:
     the truncation order; that cutoff is exact, not an approximation.
     """
     _check_params(t, order=order)
-    g = divisor_sum_series(order)
-    num = series_zero(order)
-    power = t
-    while power <= order:
-        num = num + power * substitute_power(g, power)
-        power *= t
-    return div(num, euler_product(order))
+    powers = (t**k for k in range(1, order.bit_length() + 1))
+    return _sigma_over_eta(order, ((m, m) for m in powers))
 
 
 def defect_series_brute(t: int, order: int) -> IntSeries:
@@ -204,12 +194,12 @@ def generalized_core_series(j: int, t: int, order: int) -> IntSeries:
     """Closed form counting partitions whose pre-tower row j+1 is empty.
 
     With T = t**(j+1) this is (q**T; q**T)_inf**T / (q; q)_inf.  For j = 0
-    it is the classical t-core counting series.
+    it is the classical t-core counting series.  Past the order, where T is
+    capped as in row_weight_series, the numerator is 1.
     """
     _check_params(t, j, order)
-    T = _power_within(t, j + 1, order)
-    num = series_one(order) if T is None else pochhammer_inf(T, T, order)
-    return div(num, euler_product(order))
+    T = t ** min(j + 1, order.bit_length())
+    return div(pochhammer_inf(T, T, order), euler_product(order))
 
 
 def generalized_core_series_brute(j: int, t: int, order: int) -> IntSeries:
@@ -265,19 +255,16 @@ def check_congruence(t: int, order: int, claim: str = "both") -> VerificationRep
     _check_params(t, order=order)
     totals = core_size_totals(t, order)
     tsq = t * t
-    mismatch = None
-    for n in range(order + 1):
-        observed = totals[n] % tsq
-        if claim in ("np", "both"):
-            required = (n * partition_count(n)) % tsq
-            if observed != required:
-                mismatch = (n, observed, required)
-                break
-        if claim in ("multiples", "both") and n % t == 0:
-            if observed != 0:
-                mismatch = (n, observed, 0)
-                break
-    return _report(f"congruence.{claim}", t, None, order, mismatch)
+
+    def residues():
+        for n in range(order + 1):
+            observed = totals[n] % tsq
+            if claim != "multiples":
+                yield n, observed, (n * partition_count(n)) % tsq
+            if claim != "np" and n % t == 0:
+                yield n, observed, 0
+
+    return _report(f"congruence.{claim}", t, None, order, _first(residues()))
 
 
 def check_recursion(t: int, order: int) -> VerificationReport:
@@ -287,17 +274,13 @@ def check_recursion(t: int, order: int) -> VerificationReport:
     totals = core_size_totals(t, order)
     regular = regular_partition_series(t, order).coeffs
     weights = [(m, m * partition_count(m // t)) for m in range(t, order + 1, t)]
-    mismatch = None
-    for n in range(order + 1):
-        correction = 0
-        for m, weight in weights:
-            if m > n:
-                break
-            correction += weight * regular[n - m]
-        rhs = n * partition_count(n) - t * correction
-        if totals[n] != rhs:
-            mismatch = (n, totals[n], rhs)
-            break
+
+    def rhs(n: int) -> int:
+        # weights[: n // t] are exactly the pairs with m <= n.
+        correction = sum(w * regular[n - m] for m, w in weights[: n // t])
+        return n * partition_count(n) - t * correction
+
+    mismatch = _first((n, totals[n], rhs(n)) for n in range(order + 1))
     return _report("recursion", t, None, order, mismatch)
 
 
@@ -326,12 +309,9 @@ def telescoped_row_weight_check(t: int, j: int, order: int) -> VerificationRepor
     to (S(q) - t**(2j+2) S(q**(t**(j+1)))) / (q;q)_inf."""
     _check_params(t, j, order)
     lhs = series_zero(order)
-    for k in range(j + 1):
+    # Row k vanishes below the truncation once t**k > order.
+    for k in range(min(j, order.bit_length()) + 1):
         lhs = lhs + (t**k) * row_weight_series(k, t, order)
-    g = divisor_sum_series(order)
-    num = g
-    m = _power_within(t, j + 1, order)
-    if m is not None:
-        num = num - (m * m) * substitute_power(g, m)
-    rhs = div(num, euler_product(order))
+    m = t ** min(j + 1, order.bit_length())
+    rhs = _sigma_over_eta(order, ((1, 1), (m, -m * m)))
     return compare_series("telescoped-row-weights", lhs, rhs, t=t, j=j)

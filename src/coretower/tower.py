@@ -26,13 +26,15 @@ from typing import Iterator, Sequence
 
 from .partitions import EMPTY, Partition
 
-# Materialisation guard for pre-tower rows, which have t**j entries.
+# Materialisation guard: pre-tower row j has t**j entries, and a t-quotient t.
 _MAX_ROW_ENTRIES = 1 << 20
 
 
 def _check_modulus(t: int) -> None:
     if t < 2:
         raise ValueError(f"modulus t must be at least 2, got {t}")
+    if t > _MAX_ROW_ENTRIES:
+        raise ValueError(f"modulus t must be at most {_MAX_ROW_ENTRIES}, got {t}")
 
 
 def _bead_count(length: int, t: int) -> int:

@@ -288,6 +288,25 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "partition syntax" in err
 
+    @pytest.mark.parametrize("text", ["1_0", "+3", " 3", "\u0663"])
+    def test_sample_text_must_be_plain_digits(self, capsys, text):
+        code, out, err = run_cli(capsys, "asympt", "defect", "--t", "2", "--samples", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad sample list {text!r}\n"
+
+    # Each flag exists only on the commands that read it.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("core", "--t", "2", "--precision", "30", "3,1"),
+            ("verify", "recursion", "--t", "2", "--order", "5", "--brute-ceiling", "5"),
+        ],
+    )
+    def test_flag_on_a_command_that_ignores_it(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
     def test_increasing_parts(self, capsys):
         code, _, _ = run_cli(capsys, "core", "--t", "2", "2,3")
         assert code == 2
@@ -314,6 +333,10 @@ class TestUsageErrors:
             (("tower", "--t", "1025", "1050625"), "too many entries"),
             (("asympt", "transform", "--m", "100", "--eps", "1"),
              "eps must be <= 0.345"),
+            (("core", "--t", "1048577", "1"), "modulus t must be at most 1048576"),
+            (("tower", "--t", "100000000", "1"), "modulus t must be at most"),
+            (("series", "T", "--j", "0", "--t", "100000000", "--order", "3",
+              "--mode", "brute"), "modulus t must be at most"),
         ],
     )
     def test_out_of_range_settings(self, capsys, argv, flag):
@@ -375,6 +398,26 @@ class TestDeterminism:
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2
         assert out1 == out2
+
+
+class TestReadmeExamples:
+    README_LINES = [
+        line.split("#")[0].split()[1:]
+        for line in (Path(SRC).parent / "README.md").read_text().splitlines()
+        if line.startswith("coretower ")
+    ]
+
+    def test_the_readme_shows_every_command(self):
+        commands = {argv[0] for argv in self.README_LINES}
+        assert commands == {"core", "quotient", "tower", "series", "verify", "asympt"}
+
+    @pytest.mark.parametrize("argv", README_LINES, ids=" ".join)
+    def test_readme_cli_line_runs(self, capsys, argv):
+        # verify congruence reports the known false congruence (t=2, n=6).
+        expected = 1 if argv[:2] == ["verify", "congruence"] else 0
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (expected, "")
+        assert out
 
 
 class TestEntryPoint:

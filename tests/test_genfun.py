@@ -24,7 +24,7 @@ from coretower import (
     row_weight_series_brute,
     telescoped_row_weight_check,
 )
-from coretower.series import IntSeries
+from coretower.series import IntSeries, partition_series
 from core_totals import first_nonvanishing_multiple
 from oracles import regular_partition_counts_brute
 
@@ -88,6 +88,7 @@ class TestRowWeightSeries:
 
     def test_huge_row_index_gives_zero_series(self):
         assert row_weight_series(10**6, 2, 20).coeffs == (0,) * 21
+        assert row_weight_series(10**9, 2, 50).coeffs == (0,) * 51
 
     def test_order_zero_series(self):
         assert row_weight_series_brute(1, 3, 0).coeffs == (0,)
@@ -162,6 +163,7 @@ class TestGeneralizedCoreSeries:
         f = generalized_core_series(6, 2, 20)
         for n in range(21):
             assert f[n] == partition_count(n)
+        assert generalized_core_series(10**9, 2, 50) == partition_series(50)
 
 
 class TestEnumerationCensus:
@@ -306,6 +308,11 @@ class TestTelescoping:
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_weighted_row_sums_telescope(self, t, j):
         report = telescoped_row_weight_check(t, j, 40)
+        assert report.passed, report.describe()
+
+    def test_huge_row_index(self):
+        # Rows past t**k > order vanish, so the sum stops there.
+        report = telescoped_row_weight_check(2, 10**9, 50)
         assert report.passed, report.describe()
 
 
