@@ -88,7 +88,7 @@ def _int_list(xs, depth: int) -> str:
 def _cmd_tower(args) -> int:
     lam = _parse_partition(args.partition)
     tower = core_tower(lam, args.t)
-    d = _defect(lam, args.t, tower.row_sizes)
+    d = _defect(lam, lam.size, args.t, tower.row_sizes)
     # Written directly: json.dumps with indent uses its slow pure-Python encoder.
     if args.format == "json":
         rows = ",\n    ".join(
@@ -305,9 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        flags = [a.split("=", 1)[0] for a in extras if a.startswith("--")]
+        if extras and not flags:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
+    if flags:
+        # argparse would name the values after the flag as the strays, and
+        # may have taken one of them as a positional argument.
+        command = " ".join(filter(None, (args.command, getattr(args, "target", None))))
+        print(
+            f"error: unrecognized arguments: {command} does not take {flags[0]}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         if args.format == "csv" and args.no_csv:
             raise ValueError(f"csv format is not available for {args.no_csv}")

@@ -23,7 +23,7 @@ from .series import (
     pochhammer_inf,
     series_zero,
 )
-from .tower import _defect, tower_row_sizes
+from .tower import _beads, _check_modulus, _defect, _row_sizes
 
 Mismatch = tuple[int, int, int]
 
@@ -151,19 +151,23 @@ def _census(t: int, n: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
 
     Returns the tower row totals by row index, the total defect, and the
     number of partitions by tower length (index L counts towers of L rows).
-    Integers only, so the cache holds no partitions.
+    Integers only, so the cache holds no partitions.  The quotient
+    components below row 0 have size at most n/t and recur across many
+    partitions of n, so their tower row sizes are memoised for this pass.
     """
+    _check_modulus(t)
+    memo: dict[tuple, tuple[int, ...]] = {}
     rows: list[int] = []
     lengths: list[int] = []
     defects = 0
     for lam in enumerate_partitions(n):
-        sizes = tower_row_sizes(lam, t)
+        sizes = _row_sizes(_beads(lam.parts, len(lam)), n, t, memo)
         rows.extend([0] * (len(sizes) - len(rows)))
         for j, size in enumerate(sizes):
             rows[j] += size
         lengths.extend([0] * (len(sizes) + 1 - len(lengths)))
         lengths[len(sizes)] += 1
-        defects += _defect(lam, t, sizes)
+        defects += _defect(lam, n, t, sizes)
     return tuple(rows), defects, tuple(lengths)
 
 

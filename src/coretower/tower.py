@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import add, sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .partitions import EMPTY, Partition
 
@@ -184,44 +184,55 @@ def core_tower(lam: Partition, t: int) -> CoreTower:
     return CoreTower(t=t, rows=tuple(rows))
 
 
+def _row_sizes(
+    beads: Iterable[int], size: int, t: int, memo: dict[tuple, tuple[int, ...]]
+) -> tuple[int, ...]:
+    """Tower row sizes of the partition of this size with these beads.
+
+    The beads go on the runners once: a runner of c beads at positions
+    run holds a quotient component of size sum(run) - c(c-1)/2, and the
+    core has what is left, size - t * (total quotient size).  Row j + 1 is
+    the sum of row j of the nonempty components' towers, each looked up in
+    memo by the component's minimal bead tuple (no beads for zero parts)
+    and computed on a miss.  No size depends on the bead count, so the
+    beads need no padding to a multiple of t.  No bead lies above size,
+    so only the first min(t, size + 1) runners can hold one.
+    """
+    runners: list[list[int]] = [[] for _ in range(min(t, size + 1))]
+    for b in beads:
+        runners[b % t].append(b // t)
+    lower: list[int] = []
+    quotient_size = 0
+    for run in runners:
+        c = len(run)
+        q = sum(run) - c * (c - 1) // 2
+        if q:
+            quotient_size += q
+            # Beads at 0..s-1 encode zero parts: drop them and shift the
+            # rest down.  q > 0 means some bead sits above them.
+            s = 0
+            while run[c - 1 - s] == s:
+                s += 1
+            key = tuple([b - s for b in run[: c - s]] if s else run)
+            sub = memo.get(key)
+            if sub is None:
+                sub = memo[key] = _row_sizes(key, q, t, memo)
+            if len(sub) > len(lower):
+                lower.extend([0] * (len(sub) - len(lower)))
+            for j, x in enumerate(sub):
+                lower[j] += x
+    return (size - t * quotient_size, *lower)
+
+
 def tower_row_sizes(lam: Partition, t: int) -> tuple[int, ...]:
     """Total size of each tower row, row 0 up to the tower height.
 
     Sparse equivalent of core_tower(lam, t).row_sizes, computed on bead
-    lists alone: a runner of c beads at positions run holds a quotient
-    component of size sum(run) - c(c-1)/2, and the core has what is left,
-    |lam| - t * (total quotient size).  The beads are not padded to a
-    multiple of t, since no size depends on the bead count, and empty
-    components are dropped between levels since they contribute nothing.
+    lists alone by _row_sizes, with a memo that lives for this call: a
+    component that recurs in the tower is walked once.
     """
     _check_modulus(t)
-    # (beads, size) of each nonempty entry of the current pre-tower row.
-    level = [(_beads(lam.parts, len(lam)), lam.size)]
-    sizes = []
-    while level:
-        row = 0
-        next_level = []
-        for beads, size in level:
-            runners: list[list[int]] = [[] for _ in range(t)]
-            for b in beads:
-                runners[b % t].append(b // t)
-            quotient_size = 0
-            for run in runners:
-                c = len(run)
-                q = sum(run) - c * (c - 1) // 2
-                if q:
-                    quotient_size += q
-                    # Beads at 0..s-1 encode zero parts: drop them and shift
-                    # the rest down, so bead lists do not carry padding from
-                    # level to level.  q > 0 means some bead sits above them.
-                    s = 0
-                    while run[c - 1 - s] == s:
-                        s += 1
-                    next_level.append(([b - s for b in run[: c - s]] if s else run, q))
-            row += size - t * quotient_size
-        sizes.append(row)
-        level = next_level
-    return tuple(sizes)
+    return _row_sizes(_beads(lam.parts, len(lam)), lam.size, t, {})
 
 
 def row_size(lam: Partition, t: int, j: int) -> int:
@@ -232,10 +243,10 @@ def row_size(lam: Partition, t: int, j: int) -> int:
     return sizes[j] if j < len(sizes) else 0
 
 
-def _defect(lam: Partition, t: int, sizes: Sequence[int]) -> int:
-    """(|lam| - sum(sizes)) / (t - 1) for lam's tower row sizes; raises
-    ArithmeticError unless that is a nonnegative integer."""
-    quot, rem = divmod(lam.size - sum(sizes), t - 1)
+def _defect(lam: Partition, n: int, t: int, sizes: Sequence[int]) -> int:
+    """(n - sum(sizes)) / (t - 1) for the tower row sizes of lam, a partition
+    of n; raises ArithmeticError unless that is a nonnegative integer."""
+    quot, rem = divmod(n - sum(sizes), t - 1)
     if rem or quot < 0:
         raise ArithmeticError(
             f"defect of {lam!r} for t={t} is not a nonnegative integer"
@@ -245,7 +256,7 @@ def _defect(lam: Partition, t: int, sizes: Sequence[int]) -> int:
 
 def defect(lam: Partition, t: int) -> int:
     """(|lam| - sum of tower row sizes) / (t - 1), always a nonnegative integer."""
-    return _defect(lam, t, tower_row_sizes(lam, t))
+    return _defect(lam, lam.size, t, tower_row_sizes(lam, t))
 
 
 def is_generalized_core(lam: Partition, j: int, t: int) -> bool:

@@ -294,18 +294,31 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == f"error: bad sample list {text!r}\n"
 
-    # Each flag exists only on the commands that read it.
+    # Each flag exists only on the commands that read it.  The message names
+    # the command and the flag, never a value argparse took for a stray.
     @pytest.mark.parametrize(
         "argv",
         [
             ("core", "--t", "2", "--precision", "30", "3,1"),
             ("verify", "recursion", "--t", "2", "--order", "5", "--brute-ceiling", "5"),
+            ("series", "T", "--j", "0", "--t", "2", "--order", "3", "--precision", "3,1"),
+            ("asympt", "transform", "--m", "1", "--eps", "0.1", "--brute-ceiling=3,1"),
         ],
     )
     def test_flag_on_a_command_that_ignores_it(self, capsys, argv):
+        command = " ".join(argv[:2] if argv[0] == "asympt" else argv[:1])
+        flag = next(
+            a.split("=")[0] for a in argv if a.startswith(("--precision", "--brute"))
+        )
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert "unrecognized arguments" in err
+        assert err == f"error: unrecognized arguments: {command} does not take {flag}\n"
+        assert "3,1" not in err
+
+    def test_stray_value_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "core", "--t", "2", "3,1", "5")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: 5\n")
 
     def test_increasing_parts(self, capsys):
         code, _, _ = run_cli(capsys, "core", "--t", "2", "2,3")

@@ -1,3 +1,4 @@
+from itertools import count
 from math import isqrt
 
 import pytest
@@ -169,11 +170,12 @@ class TestGeneralizedCoreSeries:
 class TestEnumerationCensus:
     """The three brute-force series share one enumeration pass per (t, n)."""
 
-    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
     def test_brute_series_are_sums_over_the_dense_tower(self, t):
         # Per-partition statistics from core_tower and pre_tower_row, which
-        # do not use the bead-only row-size kernel; j = 3 is past the tower
-        # height of most of these partitions.
+        # do not use the bead-only row-size kernel or its memo of shared
+        # components; j = 3 is past the tower height of most of these
+        # partitions.
         order, levels = 16, range(4)
         rows = [[0] * len(levels) for _ in range(order + 1)]
         cores = [[0] * len(levels) for _ in range(order + 1)]
@@ -181,9 +183,16 @@ class TestEnumerationCensus:
         for n in range(order + 1):
             for lam in enumerate_partitions(n):
                 sizes = core_tower(lam, t).row_sizes
+                # Rows below an empty pre-tower row are empty too, so the
+                # first empty one settles every level.
+                first_empty = next(
+                    k
+                    for k in count(1)
+                    if all(p == EMPTY for p in pre_tower_row(lam, t, k))
+                )
                 for j in levels:
                     rows[n][j] += sizes[j] if j < len(sizes) else 0
-                    cores[n][j] += all(p == EMPTY for p in pre_tower_row(lam, t, j + 1))
+                    cores[n][j] += j + 1 >= first_empty
                 d, rem = divmod(lam.size - sum(sizes), t - 1)
                 assert rem == 0 and d >= 0
                 defects[n] += d
@@ -224,6 +233,15 @@ class TestEnumerationCensus:
         )
         for report in reports:
             assert report.passed, report.describe()
+
+    def test_largest_modulus_at_the_ceiling(self):
+        # No hook of a partition of n exceeds n, so for t > n every partition
+        # is a t-core; the census must not walk t = 2**20 runners for each.
+        t, order = 1 << 20, 30
+        assert row_weight_series_brute(0, t, order).coeffs == tuple(
+            n * partition_count(n) for n in range(order + 1)
+        )
+        assert defect_series_brute(t, order).coeffs == (0,) * (order + 1)
 
 
 class TestCoreSizeTotals:

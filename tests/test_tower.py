@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -174,6 +175,23 @@ class TestTower:
     @given(partitions(max_part=6, max_len=6), moduli())
     def test_sparse_row_sizes_match_materialised_tower(self, lam, t):
         assert tower_row_sizes(lam, t) == core_tower(lam, t).row_sizes
+
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_sparse_row_sizes_match_on_deep_towers(self, t):
+        # n near 10**4: the recursion runs up to nine levels deep, and the
+        # quotient of t equal components repeats one sub-tower t times in a
+        # single call.
+        rng = random.Random(t)
+
+        def scattered(count, top):
+            parts = sorted((rng.randint(1, top) for _ in range(count)), reverse=True)
+            return Partition(tuple(parts))
+
+        staircase = Partition(tuple(range(140, 0, -1)))
+        repeated = reconstruct(EMPTY, (scattered(100 // t, 200 // t),) * t, t)
+        for lam in (staircase, scattered(100, 200), repeated):
+            assert 5000 < lam.size < 15000
+            assert tower_row_sizes(lam, t) == core_tower(lam, t).row_sizes
 
     def test_row_size_examples(self):
         assert row_size(WORKED, 2, 0) == 6
