@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from functools import cache
 
 from mpmath import mp
 
@@ -22,13 +24,14 @@ from .tower import _defect, core_tower, t_core, t_quotient
 
 PRECISION_ENV = "CORETOWER_PRECISION"
 
+_INTS = re.compile("[0-9]+(?:,[0-9]+)*")
+
 
 def _parse_ints(text: str, error: str) -> tuple[int, ...]:
     """The comma-separated plain ASCII digit runs of text, else ValueError(error)."""
-    pieces = text.split(",")
-    if not all(piece.isascii() and piece.isdigit() for piece in pieces):
+    if not _INTS.fullmatch(text):
         raise ValueError(error)
-    return tuple(map(int, pieces))
+    return tuple(map(int, text.split(",")))
 
 
 def _parse_partition(text: str) -> Partition:
@@ -302,8 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call in the process; parsing
+    leaves no state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args, extras = parser.parse_known_args(argv)
         flags = [a.split("=", 1)[0] for a in extras if a.startswith("--")]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 from typing import Iterable, Iterator
 
 
@@ -21,6 +22,10 @@ class Partition:
 
     def __post_init__(self) -> None:
         parts = self.parts
+        # A positive last part and no increasing neighbours make a valid
+        # tuple; the loop runs only to name the first offending part.
+        if not parts or (parts[-1] >= 1 and not any(map(lt, parts, parts[1:]))):
+            return
         for i, part in enumerate(parts):
             if part < 1:
                 raise ValueError(f"part {part} at index {i} is not a positive integer")

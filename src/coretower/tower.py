@@ -9,6 +9,12 @@ yields the t-core, independently of deletion order.  Reading the beads in
 residue class r (positions divided by t after subtracting r) gives
 component r of the t-quotient.
 
+The kernel reads a partition as its position word: character b is "1"
+where a bead sits at position b.  Runner r is the slice word[r::t], a
+runner's bead count is its number of 1s, and the number of 0s below a
+1 is its part, so cores, quotients and towers come from string
+operations, with no loop over the beads.
+
 Convention fixed here: bead counts are always normalised up to a multiple
 of t before reading off cores and quotients.  This pins down the order of
 the quotient components; aggregate statistics (sizes, defects, tower row
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -28,6 +34,9 @@ from .partitions import EMPTY, Partition
 
 # Materialisation guard: pre-tower row j has t**j entries, and a t-quotient t.
 _MAX_ROW_ENTRIES = 1 << 20
+# A position word has one character per abacus position, largest part plus
+# number of parts in all; 2**26 of them take 64 MiB.
+_MAX_WORD = 1 << 26
 
 
 def _check_modulus(t: int) -> None:
@@ -37,11 +46,6 @@ def _check_modulus(t: int) -> None:
         raise ValueError(f"modulus t must be at most {_MAX_ROW_ENTRIES}, got {t}")
 
 
-def _bead_count(length: int, t: int) -> int:
-    """Smallest multiple of t that is >= length."""
-    return length if length % t == 0 else length + (t - length % t)
-
-
 def _beads(parts: Sequence[int], count: int) -> Iterator[int]:
     """Beta-set of the partition with these parts, padded with zero parts up
     to count beads, descending: part i sits at parts[i] + (count - 1 - i)."""
@@ -49,36 +53,73 @@ def _beads(parts: Sequence[int], count: int) -> Iterator[int]:
     return chain(map(add, parts, range(count - 1, -1, -1)), pads)
 
 
-def _parts(desc_beads: Sequence[int]) -> tuple[int, ...]:
-    """Parts of the partition with these distinct descending beads: bead i
-    of c gives part b - (c - 1 - i), and the zero parts trail."""
-    q = list(map(sub, desc_beads, range(len(desc_beads) - 1, -1, -1)))
-    return tuple(q[: q.index(0)] if 0 in q else q)
+def _word(parts: tuple[int, ...]) -> str:
+    """Position word of the partition with these parts: character b is "1"
+    where its beta-set of len(parts) beads has a bead, from position 0 up
+    to the top bead.  The 0s below the bottom bead and between neighbours
+    are the differences of consecutive parts, smallest part first."""
+    if not parts:
+        return ""
+    if parts[0] + len(parts) > _MAX_WORD:
+        raise ValueError(
+            f"largest part plus number of parts must be at most {_MAX_WORD}, "
+            f"got {parts[0] + len(parts)}"
+        )
+    up = parts[::-1]
+    return "1".join(map("0".__mul__, map(sub, up, (0, *up)))) + "1"
 
 
-def _split(parts: tuple[int, ...], t: int) -> tuple[tuple, list[tuple]]:
-    """Core parts and quotient component parts of the partition with these
-    parts, from one placement of its beads padded to a multiple of t; the
-    core fills the bottom of each runner, so the runner counts give it."""
-    _check_modulus(t)
-    runners: list[list[int]] = [[] for _ in range(t)]
-    place = [run.append for run in runners]
-    for q, r in map(divmod, _beads(parts, _bead_count(len(parts), t)), repeat(t)):
-        place[r](q)
-    counts = [len(run) for run in runners]
-    core, gaps = [], 0
-    # Below t * min(counts) every position holds a bead with no gap below it.
-    for pos in range(t * min(counts), t * max(counts)):
-        if pos // t >= counts[pos % t]:
-            gaps += 1
-        elif gaps:
-            core.append(gaps)
-    return tuple(reversed(core)), list(map(_parts, runners))
+def _decode(word: str) -> tuple[int, ...]:
+    """Parts, largest first, of the partition with this position word: the
+    1s below its first 0 are zero parts, and a bead's part is the number
+    of 0s below it."""
+    sizes = list(accumulate(map(len, word.lstrip("1").rstrip("0").split("1"))))
+    sizes.pop()  # the empty piece above the top bead
+    sizes.reverse()
+    return tuple(sizes)
+
+
+def _interleave(runners: Sequence[str]) -> str:
+    """The word whose runner i, for t = len(runners), is runners[i]; all
+    runners have one length."""
+    return "".join(map("".join, zip(*runners)))
+
+
+def _split(word: str, t: int) -> tuple[tuple[int, ...], list[tuple[int, str]]]:
+    """Core parts and the (r, word) of each nonempty quotient component r of
+    the partition with this position word.
+
+    Runner i of the word is word[i::t].  Padding its k beads up to a
+    multiple of t would put -k % t beads below position 0, all zero parts,
+    so runner i is runner (i - k) % t of the convention, and the pad beads
+    only lengthen the run of 1s at its bottom.  The core keeps every
+    runner's bead count with its beads pushed down; below the least count
+    every position holds a bead.
+    """
+    if len(word) <= t:
+        # At most one position per runner: the word is its own core, and
+        # its runners hold zero parts only.
+        return _decode(word), []
+    k = word.count("1")
+    runners = [word[i::t] for i in range(t)]
+    counts = [run.count("1") for run in runners]
+    low, high = min(counts), max(counts)
+    core = ()
+    if low < high:
+        columns = ["1" * (c - low) + "0" * (high - c) for c in counts]
+        core = _decode(_interleave(columns))
+    children = [
+        ((i - k) % t, child)
+        for i, run in enumerate(runners)
+        if (child := run.lstrip("1").rstrip("0"))
+    ]
+    return core, children
 
 
 def t_core(lam: Partition, t: int) -> Partition:
     """The t-core of lam: no hook length of the result is divisible by t."""
-    return Partition._trusted(_split(lam.parts, t)[0])
+    _check_modulus(t)
+    return Partition._trusted(_split(_word(lam.parts), t)[0])
 
 
 def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
@@ -87,7 +128,12 @@ def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
     Component r is read from the beads in residue class r mod t.  The size
     identity |lam| = |core| + t * (total quotient size) always holds.
     """
-    return tuple(Partition._trusted(q) if q else EMPTY for q in _split(lam.parts, t)[1])
+    _check_modulus(t)
+    children = _split(_word(lam.parts), t)[1]
+    quotient = [EMPTY] * t
+    for r, child in children:
+        quotient[r] = Partition._trusted(_decode(child))
+    return tuple(quotient)
 
 
 def is_t_core(lam: Partition, t: int) -> bool:
@@ -108,13 +154,17 @@ def reconstruct(core: Partition, quotient: Sequence[Partition], t: int) -> Parti
         )
     if not is_t_core(core, t):
         raise ValueError(f"core argument {core!r} is not a {t}-core")
-    pad = max((len(q) for q in quotient), default=0)
-    k = _bead_count(len(core), t) + t * pad
-    counts = [0] * t
-    for b in _beads(core.parts, k):
-        counts[b % t] += 1
-    beads = [t * v + r for r in range(t) for v in _beads(quotient[r].parts, counts[r])]
-    return Partition._trusted(_parts(sorted(beads, reverse=True)))
+    # Enough zero parts under the core for a multiple of t beads and at
+    # least as many beads on every runner as its component has parts.
+    pad = -len(core) % t + t * max((len(q) for q in quotient), default=0)
+    padded = "1" * pad + _word(core.parts)
+    runners = [
+        "1" * (padded[r::t].count("1") - len(q)) + _word(q.parts)
+        for r, q in enumerate(quotient)
+    ]
+    height = max(map(len, runners))
+    word = _interleave([run.ljust(height, "0") for run in runners])
+    return Partition._trusted(_decode(word))
 
 
 def _row(t: int, j: int, entries) -> tuple[Partition, ...]:
@@ -129,15 +179,13 @@ def _row(t: int, j: int, entries) -> tuple[Partition, ...]:
 
 
 def _levels(lam: Partition, t: int) -> Iterator[list]:
-    """(index, parts, core parts, quotient parts) of the nonempty entries of
+    """(index, word, core parts, components) of the nonempty entries of
     pre-tower rows 0, 1, ...; entry i's component r is entry t*i + r below."""
-    level = [(0, lam.parts)]
+    level = [(0, _word(lam.parts))]
     while level:
-        entries = [(i, parts, *_split(parts, t)) for i, parts in level]
+        entries = [(i, word, *_split(word, t)) for i, word in level]
         yield entries
-        level = [
-            (t * i + r, q) for i, _, _, qs in entries for r, q in enumerate(qs) if q
-        ]
+        level = [(t * i + r, w) for i, _, _, children in entries for r, w in children]
 
 
 def pre_tower_row(lam: Partition, t: int, j: int) -> tuple[Partition, ...]:
@@ -150,7 +198,7 @@ def pre_tower_row(lam: Partition, t: int, j: int) -> tuple[Partition, ...]:
     if j < 0:
         raise ValueError("row index j must be nonnegative")
     at_j = islice(_levels(lam, t), j, j + 1)  # walked only past _row's guard
-    return _row(t, j, ((i, p) for level in at_j for i, p, _, _ in level if p))
+    return _row(t, j, ((i, _decode(w)) for level in at_j for i, w, _, _ in level if w))
 
 
 @dataclass(frozen=True)
@@ -177,6 +225,7 @@ class CoreTower:
 def core_tower(lam: Partition, t: int) -> CoreTower:
     """The t-core tower of lam, up to its first row of t-cores (the next
     pre-tower row is empty); raises ValueError past _MAX_ROW_ENTRIES."""
+    _check_modulus(t)
     rows = (
         _row(t, j, [(i, core) for i, _, core, _ in entries if core])
         for j, entries in enumerate(_levels(lam, t))

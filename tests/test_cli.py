@@ -34,6 +34,13 @@ class TestTowerCommands:
         assert code == 0
         assert out == "\n"
 
+    def test_largest_modulus_on_a_small_partition(self, capsys):
+        code, out, _ = run_cli(capsys, "core", "--t", "1048576", "5,3")
+        assert (code, out) == (0, "5,3\n")
+        code, out, _ = run_cli(capsys, "tower", "--t", "1048576", "5,3")
+        assert code == 0
+        assert out == "t=1048576 partition=5,3 size=8\nrow 0: (5,3) size=8\ndefect=0\n"
+
     def test_quotient(self, capsys):
         code, out, _ = run_cli(capsys, "quotient", "--t", "2", "5,4,2,2,1")
         assert code == 0
@@ -288,6 +295,29 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "partition syntax" in err
 
+    @staticmethod
+    def digit_check(text, error):
+        """The per-piece ASCII digit check, as the reference for the regex."""
+        pieces = text.split(",")
+        if not all(piece.isascii() and piece.isdigit() for piece in pieces):
+            raise ValueError(error)
+        return tuple(map(int, pieces))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0", "+3", " 3", "3, 1", "\u0663", "\u00b2", "1,,2", "3,", ",3", "3\n", "",
+         "0", "007,3,0", "5,4,2,2,1", "9" * 4301, "1," + "9" * 4300],
+        ids=lambda text: repr(text[:12]),
+    )
+    def test_int_lists_parse_as_the_digit_check_did(self, text):
+        def outcome(parse):
+            try:
+                return parse(text, "bad")
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(cli._parse_ints) == outcome(self.digit_check)
+
     @pytest.mark.parametrize("text", ["1_0", "+3", " 3", "\u0663"])
     def test_sample_text_must_be_plain_digits(self, capsys, text):
         code, out, err = run_cli(capsys, "asympt", "defect", "--t", "2", "--samples", text)
@@ -350,6 +380,8 @@ class TestUsageErrors:
             (("tower", "--t", "100000000", "1"), "modulus t must be at most"),
             (("series", "T", "--j", "0", "--t", "100000000", "--order", "3",
               "--mode", "brute"), "modulus t must be at most"),
+            (("quotient", "--t", "2", str(1 << 26)),
+             "largest part plus number of parts must be at most 67108864"),
         ],
     )
     def test_out_of_range_settings(self, capsys, argv, flag):
@@ -393,6 +425,48 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err == "error: $CORETOWER_PRECISION must be an integer, got 'fifty'\n"
+
+
+class TestOneParserPerProcess:
+    # Each step is (environment, argv): json then plain, series T with --j
+    # and series D without, a refused flag, and a default read from the
+    # environment at call time.
+    STEPS = [
+        ({}, ("series", "T", "--j", "1", "--t", "2", "--order", "8", "--format", "json")),
+        ({}, ("series", "D", "--t", "2", "--order", "8")),
+        ({}, ("core", "--t", "2", "--precision", "30", "3,1")),
+        ({"CORETOWER_PRECISION": "30"}, ("asympt", "transform", "--m", "1", "--eps", "0.1")),
+        ({}, ("asympt", "transform", "--m", "1", "--eps", "0.1")),
+        ({}, ("series", "T", "--t", "2", "--order", "8")),
+    ]
+
+    def test_calls_in_one_process_match_calls_run_alone(self, capsys, monkeypatch):
+        alone = []
+        for env, argv in self.STEPS:
+            base = {k: v for k, v in os.environ.items() if k != cli.PRECISION_ENV}
+            proc = subprocess.run(
+                [sys.executable, "-m", "coretower", *argv],
+                capture_output=True,
+                text=True,
+                env={**base, "PYTHONPATH": SRC, **env},
+            )
+            alone.append((proc.returncode, proc.stdout, proc.stderr))
+        # The environment default reaches the output, and the last step fails.
+        assert alone[3][1] != alone[4][1]
+        assert [code for code, _, _ in alone] == [0, 0, 2, 0, 0, 2]
+
+        together = []
+        for env, argv in self.STEPS * 2:
+            monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
+            for key, value in env.items():
+                monkeypatch.setenv(key, value)
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            together.append((code, captured.out, captured.err))
+        assert together == alone * 2
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import random
 from itertools import count
 from math import isqrt
 
@@ -25,6 +26,7 @@ from coretower import (
     row_weight_series_brute,
     telescoped_row_weight_check,
 )
+from coretower import genfun
 from coretower.series import IntSeries, partition_series
 from core_totals import first_nonvanishing_multiple
 from oracles import regular_partition_counts_brute
@@ -304,6 +306,30 @@ class TestRecursion:
 
     def test_zero_order(self):
         assert check_recursion(5, 0).passed
+
+    def test_packed_product_is_the_convolution(self):
+        rng = random.Random(5)
+        regular = list(regular_partition_series(2, 300).coeffs)
+        weights = [m * partition_count(m // 2) if m and m % 2 == 0 else 0 for m in range(301)]
+        cases = [
+            (weights, regular),
+            ([0] * 40, [3] * 40),
+            ([7], [9]),
+            (
+                [rng.choice((0, 1, 2**200 + 1)) for _ in range(60)],
+                [rng.randrange(2**90) for _ in range(60)],
+            ),
+        ]
+        for a, b in cases:
+            direct = [sum(a[m] * b[n - m] for m in range(n + 1)) for n in range(len(a))]
+            assert genfun._nonnegative_product(a, b) == direct
+
+    def test_reports_a_planted_mismatch(self, monkeypatch):
+        totals = core_size_totals(3, 90)
+        planted = totals[:57] + [totals[57] + 1] + totals[58:]
+        monkeypatch.setattr(genfun, "core_size_totals", lambda t, order: planted)
+        report = check_recursion(3, 90)
+        assert report.first_mismatch == (57, totals[57] + 1, totals[57])
 
 
 class TestMonotonicity:

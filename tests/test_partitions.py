@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -47,6 +48,42 @@ class TestMakePartition:
             make_partition([0, 0])
         with pytest.raises(ValueError, match="index 2"):
             make_partition([3, 2, -1])
+
+    @staticmethod
+    def loop_check(parts):
+        """The per-part validation loop, as the reference for the message."""
+        for i, part in enumerate(parts):
+            if part < 1:
+                return f"part {part} at index {i} is not a positive integer"
+            if i > 0 and parts[i - 1] < part:
+                return (
+                    f"parts must be weakly decreasing; "
+                    f"parts[{i - 1}]={parts[i - 1]} < parts[{i}]={part}"
+                )
+        return None
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            (3, 0),
+            (1, 2),
+            (2, -1, 3),
+            (0, 1),
+            (5, 5, 5),
+            tuple(sorted(random.Random(1).choices(range(1, 10**6), k=5000), reverse=True)),
+            (7,) * 4000 + (8,) + (1,) * 999,
+            (7,) * 4999 + (0,),
+        ],
+        ids=lambda parts: ",".join(map(str, parts[:4])) + f"...[{len(parts)}]",
+    )
+    def test_validation_matches_the_loop(self, parts):
+        expected = self.loop_check(parts)
+        if expected is None:
+            assert Partition(parts).parts == parts
+        else:
+            with pytest.raises(ValueError) as err:
+                Partition(parts)
+            assert str(err.value) == expected
 
     def test_hashable_value_semantics(self):
         assert Partition((2, 1)) == Partition((2, 1))

@@ -240,6 +240,25 @@ class TestSparseWalk:
     def test_empty_partition(self, t):
         self.check(EMPTY, t)
 
+    def test_modulus_above_the_size(self):
+        # t > |lam| >= len(word) - 1: each runner of lam's position word
+        # holds at most one position, and lam is its own t-core.
+        for n in range(7):
+            for lam in enumerate_partitions(n):
+                for t in range(max(2, n + 1), n + 4):
+                    self.check(lam, t)
+
+    def test_largest_modulus_on_a_small_partition(self):
+        # One dense split at t = 2**20 places 2**20 beads; the rows follow
+        # from it as dense_tower builds them, since the core is lam itself.
+        lam, t = Partition((5, 3)), 1 << 20
+        core, quotient = dense_tower.split(lam, t)
+        assert core == lam
+        assert (t_core(lam, t), t_quotient(lam, t)) == (core, quotient)
+        assert is_t_core(lam, t)
+        assert core_tower(lam, t).rows == ((core,),)
+        assert pre_tower_row(lam, t, 1) == quotient
+
     def test_row_guard_boundary(self):
         assert len(pre_tower_row(EMPTY, 2, 20)) == 1 << 20
         for j in (21, 10**9):  # 2**(10**9) is never built
