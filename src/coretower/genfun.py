@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .partitions import enumerate_partitions, partition_count
 from .series import (
@@ -20,6 +20,7 @@ from .series import (
     divisor_sum_series,
     euler_product,
     div,
+    mul_nonnegative,
     pochhammer_inf,
     series_zero,
 )
@@ -271,32 +272,17 @@ def check_congruence(t: int, order: int, claim: str = "both") -> VerificationRep
     return _report(f"congruence.{claim}", t, None, order, _first(residues()))
 
 
-def _nonnegative_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients 0..len(a)-1 of the product of two series of len(a)
-    nonnegative integer coefficients, by one big-integer product (Kronecker
-    substitution).  No product coefficient exceeds max(a)*max(b)*len(a), so
-    byte slots holding its bit length never carry into the next."""
-    n = len(a)
-    width = (max(a) * max(b) * n).bit_length() // 8 + 1
-
-    def pack(xs: Sequence[int]) -> int:
-        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in xs), "little")
-
-    data = (pack(a) * pack(b)).to_bytes(2 * n * width, "little")
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)]
-
-
 def check_recursion(t: int, order: int) -> VerificationReport:
     """Checks the exact recursion relating total core sizes to n*p(n) and
     counts of partitions with no part divisible by t: the correction at n
     is the convolution sum over t | m <= n of m*p(m/t) * regular[n - m]."""
     _check_params(t, order=order)
     totals = core_size_totals(t, order)
-    regular = regular_partition_series(t, order).coeffs
+    regular = regular_partition_series(t, order)
     weights = [0] * (order + 1)
     for m in range(t, order + 1, t):
         weights[m] = m * partition_count(m // t)
-    correction = _nonnegative_product(weights, regular)
+    correction = mul_nonnegative(IntSeries(tuple(weights)), regular).coeffs
     mismatch = _first(
         (n, totals[n], n * partition_count(n) - t * correction[n])
         for n in range(order + 1)

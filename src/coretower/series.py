@@ -105,6 +105,23 @@ def mul(a: IntSeries, b: IntSeries) -> IntSeries:
     return IntSeries(tuple(out))
 
 
+def mul_nonnegative(a: IntSeries, b: IntSeries) -> IntSeries:
+    """mul(a, b) for series with nonnegative coefficients, by one big-integer
+    product (Kronecker substitution).  No product coefficient exceeds
+    max(a) * max(b) * (N + 1), so byte slots holding its bit length never
+    carry into the next."""
+    n = _require_same_order(a, b) + 1
+    width = (max(a.coeffs) * max(b.coeffs) * n).bit_length() // 8 + 1
+
+    def pack(xs: tuple[int, ...]) -> int:
+        packed = b"".join(x.to_bytes(width, "little") for x in xs)
+        return int.from_bytes(packed, "little")
+
+    data = (pack(a.coeffs) * pack(b.coeffs)).to_bytes(2 * n * width, "little")
+    slots = range(0, n * width, width)
+    return IntSeries(tuple(int.from_bytes(data[i : i + width], "little") for i in slots))
+
+
 def div(a: IntSeries, b: IntSeries) -> IntSeries:
     """Exact quotient a/b for b with constant coefficient +1 or -1.
 

@@ -13,7 +13,11 @@ The kernel reads a partition as its position word: character b is "1"
 where a bead sits at position b.  Runner r is the slice word[r::t], a
 runner's bead count is its number of 1s, and the number of 0s below a
 1 is its part, so cores, quotients and towers come from string
-operations, with no loop over the beads.
+operations, with no loop over the beads.  A word has one character per
+position, largest part plus number of parts in all, so a partition whose
+largest part is far above its number of parts is split from its bead
+list instead (see _abacus), in time and memory linear in its length
+plus t.
 
 Convention fixed here: bead counts are always normalised up to a multiple
 of t before reading off cores and quotients.  This pins down the order of
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -34,9 +38,10 @@ from .partitions import EMPTY, Partition
 
 # Materialisation guard: pre-tower row j has t**j entries, and a t-quotient t.
 _MAX_ROW_ENTRIES = 1 << 20
-# A position word has one character per abacus position, largest part plus
-# number of parts in all; 2**26 of them take 64 MiB.
-_MAX_WORD = 1 << 26
+# A partition whose largest part is at least _SPARSE times its number of
+# parts is split as a bead list; its word would spend more characters than
+# that on each bead.
+_SPARSE = 64
 
 
 def _check_modulus(t: int) -> None:
@@ -46,11 +51,23 @@ def _check_modulus(t: int) -> None:
         raise ValueError(f"modulus t must be at most {_MAX_ROW_ENTRIES}, got {t}")
 
 
+def _bead_count(length: int, t: int) -> int:
+    """Smallest multiple of t that is >= length."""
+    return length if length % t == 0 else length + (t - length % t)
+
+
 def _beads(parts: Sequence[int], count: int) -> Iterator[int]:
     """Beta-set of the partition with these parts, padded with zero parts up
     to count beads, descending: part i sits at parts[i] + (count - 1 - i)."""
     pads = range(count - len(parts) - 1, -1, -1)
     return chain(map(add, parts, range(count - 1, -1, -1)), pads)
+
+
+def _parts(desc_beads: Sequence[int]) -> tuple[int, ...]:
+    """Parts of the partition with these distinct descending beads: bead i
+    of c gives part b - (c - 1 - i), and the zero parts trail."""
+    q = list(map(sub, desc_beads, range(len(desc_beads) - 1, -1, -1)))
+    return tuple(q[: q.index(0)] if 0 in q else q)
 
 
 def _word(parts: tuple[int, ...]) -> str:
@@ -60,11 +77,6 @@ def _word(parts: tuple[int, ...]) -> str:
     are the differences of consecutive parts, smallest part first."""
     if not parts:
         return ""
-    if parts[0] + len(parts) > _MAX_WORD:
-        raise ValueError(
-            f"largest part plus number of parts must be at most {_MAX_WORD}, "
-            f"got {parts[0] + len(parts)}"
-        )
     up = parts[::-1]
     return "1".join(map("0".__mul__, map(sub, up, (0, *up)))) + "1"
 
@@ -79,47 +91,82 @@ def _decode(word: str) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def _interleave(runners: Sequence[str]) -> str:
-    """The word whose runner i, for t = len(runners), is runners[i]; all
-    runners have one length."""
-    return "".join(map("".join, zip(*runners)))
+def _abacus(parts: tuple[int, ...]) -> str | tuple[int, ...]:
+    """What _split takes for the partition with these parts: its position
+    word, or the parts themselves when the largest is at least _SPARSE
+    times their number."""
+    if parts and parts[0] >= _SPARSE * len(parts):
+        return parts
+    return _word(parts)
 
 
-def _split(word: str, t: int) -> tuple[tuple[int, ...], list[tuple[int, str]]]:
-    """Core parts and the (r, word) of each nonempty quotient component r of
-    the partition with this position word.
+def _as_parts(abacus: str | tuple[int, ...]) -> tuple[int, ...]:
+    return abacus if isinstance(abacus, tuple) else _decode(abacus)
 
-    Runner i of the word is word[i::t].  Padding its k beads up to a
+
+def _core(counts: Sequence[int]) -> tuple[int, ...]:
+    """Parts of the t-core whose runner i, for t = len(counts), holds
+    counts[i] beads pushed down; below the least count every position
+    holds a bead."""
+    low, high = min(counts), max(counts)
+    if low == high:
+        return ()
+    columns = ["1" * (c - low) + "0" * (high - c) for c in counts]
+    return _decode("".join(map("".join, zip(*columns))))
+
+
+def _split(abacus: str | tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]:
+    """Core parts and the (r, abacus) of each nonempty quotient component r
+    of the partition with this abacus (see _abacus).
+
+    Runner i of a word is word[i::t].  Padding its k beads up to a
     multiple of t would put -k % t beads below position 0, all zero parts,
     so runner i is runner (i - k) % t of the convention, and the pad beads
-    only lengthen the run of 1s at its bottom.  The core keeps every
-    runner's bead count with its beads pushed down; below the least count
-    every position holds a bead.
+    only lengthen the run of 1s at its bottom.  A component is its runner
+    with those 1s and the 0s above its top bead stripped, a word no longer
+    than the runner.
     """
+    if isinstance(abacus, tuple):
+        return _split_beads(abacus, t)
+    word = abacus
     if len(word) <= t:
         # At most one position per runner: the word is its own core, and
         # its runners hold zero parts only.
         return _decode(word), []
     k = word.count("1")
     runners = [word[i::t] for i in range(t)]
-    counts = [run.count("1") for run in runners]
-    low, high = min(counts), max(counts)
-    core = ()
-    if low < high:
-        columns = ["1" * (c - low) + "0" * (high - c) for c in counts]
-        core = _decode(_interleave(columns))
     children = [
         ((i - k) % t, child)
         for i, run in enumerate(runners)
         if (child := run.lstrip("1").rstrip("0"))
     ]
-    return core, children
+    return _core([run.count("1") for run in runners]), children
+
+
+def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]:
+    """_split for a partition kept as its parts, in O(len(parts) + t): bead
+    b goes on runner b % t at height b // t, and each component is kept
+    as _abacus chooses."""
+    k = len(parts)
+    if parts[0] + k <= t:
+        # Its word would be no longer than t: see _split.
+        return parts, []
+    runners: dict[int, list[int]] = {}
+    for q, i in map(divmod, _beads(parts, k), repeat(t)):
+        runners.setdefault(i, []).append(q)
+    counts = [0] * t
+    children = []
+    for i, run in runners.items():
+        counts[i] = len(run)
+        if child := _parts(run):
+            children.append(((i - k) % t, _abacus(child)))
+    return _core(counts), children
 
 
 def t_core(lam: Partition, t: int) -> Partition:
     """The t-core of lam: no hook length of the result is divisible by t."""
     _check_modulus(t)
-    return Partition._trusted(_split(_word(lam.parts), t)[0])
+    return Partition._trusted(_split(_abacus(lam.parts), t)[0])
 
 
 def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
@@ -129,10 +176,10 @@ def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
     identity |lam| = |core| + t * (total quotient size) always holds.
     """
     _check_modulus(t)
-    children = _split(_word(lam.parts), t)[1]
+    children = _split(_abacus(lam.parts), t)[1]
     quotient = [EMPTY] * t
     for r, child in children:
-        quotient[r] = Partition._trusted(_decode(child))
+        quotient[r] = Partition._trusted(_as_parts(child))
     return tuple(quotient)
 
 
@@ -154,17 +201,13 @@ def reconstruct(core: Partition, quotient: Sequence[Partition], t: int) -> Parti
         )
     if not is_t_core(core, t):
         raise ValueError(f"core argument {core!r} is not a {t}-core")
-    # Enough zero parts under the core for a multiple of t beads and at
-    # least as many beads on every runner as its component has parts.
-    pad = -len(core) % t + t * max((len(q) for q in quotient), default=0)
-    padded = "1" * pad + _word(core.parts)
-    runners = [
-        "1" * (padded[r::t].count("1") - len(q)) + _word(q.parts)
-        for r, q in enumerate(quotient)
-    ]
-    height = max(map(len, runners))
-    word = _interleave([run.ljust(height, "0") for run in runners])
-    return Partition._trusted(_decode(word))
+    pad = max((len(q) for q in quotient), default=0)
+    k = _bead_count(len(core), t) + t * pad
+    counts = [0] * t
+    for b in _beads(core.parts, k):
+        counts[b % t] += 1
+    beads = [t * v + r for r in range(t) for v in _beads(quotient[r].parts, counts[r])]
+    return Partition._trusted(_parts(sorted(beads, reverse=True)))
 
 
 def _row(t: int, j: int, entries) -> tuple[Partition, ...]:
@@ -179,13 +222,13 @@ def _row(t: int, j: int, entries) -> tuple[Partition, ...]:
 
 
 def _levels(lam: Partition, t: int) -> Iterator[list]:
-    """(index, word, core parts, components) of the nonempty entries of
+    """(index, abacus, core parts, components) of the nonempty entries of
     pre-tower rows 0, 1, ...; entry i's component r is entry t*i + r below."""
-    level = [(0, _word(lam.parts))]
+    level = [(0, _abacus(lam.parts))]
     while level:
-        entries = [(i, word, *_split(word, t)) for i, word in level]
+        entries = [(i, a, *_split(a, t)) for i, a in level]
         yield entries
-        level = [(t * i + r, w) for i, _, _, children in entries for r, w in children]
+        level = [(t * i + r, a) for i, _, _, children in entries for r, a in children]
 
 
 def pre_tower_row(lam: Partition, t: int, j: int) -> tuple[Partition, ...]:
@@ -198,7 +241,9 @@ def pre_tower_row(lam: Partition, t: int, j: int) -> tuple[Partition, ...]:
     if j < 0:
         raise ValueError("row index j must be nonnegative")
     at_j = islice(_levels(lam, t), j, j + 1)  # walked only past _row's guard
-    return _row(t, j, ((i, _decode(w)) for level in at_j for i, w, _, _ in level if w))
+    return _row(
+        t, j, ((i, _as_parts(a)) for level in at_j for i, a, _, _ in level if a)
+    )
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,14 @@ class TestTowerCommands:
         assert code == 0
         assert out == "t=1048576 partition=5,3 size=8\nrow 0: (5,3) size=8\ndefect=0\n"
 
+    def test_parts_far_above_the_length(self, capsys):
+        code, out, _ = run_cli(capsys, "core", "--t", "2", "100000000")
+        assert (code, out) == (0, "\n")
+        code, out, _ = run_cli(capsys, "quotient", "--t", "2", str(1 << 26))
+        assert (code, out) == (0, "0: \n1: 33554432\n")
+        code, out, _ = run_cli(capsys, "quotient", "--t", "3", "1000000000000,1000000,1")
+        assert (code, out) == (0, "0: 333333333334\n1: \n2: 333333\n")
+
     def test_quotient(self, capsys):
         code, out, _ = run_cli(capsys, "quotient", "--t", "2", "5,4,2,2,1")
         assert code == 0
@@ -380,8 +388,6 @@ class TestUsageErrors:
             (("tower", "--t", "100000000", "1"), "modulus t must be at most"),
             (("series", "T", "--j", "0", "--t", "100000000", "--order", "3",
               "--mode", "brute"), "modulus t must be at most"),
-            (("quotient", "--t", "2", str(1 << 26)),
-             "largest part plus number of parts must be at most 67108864"),
         ],
     )
     def test_out_of_range_settings(self, capsys, argv, flag):

@@ -27,7 +27,7 @@ from coretower import (
     telescoped_row_weight_check,
 )
 from coretower import genfun
-from coretower.series import IntSeries, partition_series
+from coretower.series import IntSeries, mul, mul_nonnegative, partition_series
 from core_totals import first_nonvanishing_multiple
 from oracles import regular_partition_counts_brute
 
@@ -321,8 +321,8 @@ class TestRecursion:
             ),
         ]
         for a, b in cases:
-            direct = [sum(a[m] * b[n - m] for m in range(n + 1)) for n in range(len(a))]
-            assert genfun._nonnegative_product(a, b) == direct
+            a, b = IntSeries(tuple(a)), IntSeries(tuple(b))
+            assert mul_nonnegative(a, b) == mul(a, b)
 
     def test_reports_a_planted_mismatch(self, monkeypatch):
         totals = core_size_totals(3, 90)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -249,15 +250,60 @@ class TestSparseWalk:
                     self.check(lam, t)
 
     def test_largest_modulus_on_a_small_partition(self):
-        # One dense split at t = 2**20 places 2**20 beads; the rows follow
-        # from it as dense_tower builds them, since the core is lam itself.
+        # Each runner holds at most one position: lam is its own t-core,
+        # and every quotient component is empty.
         lam, t = Partition((5, 3)), 1 << 20
-        core, quotient = dense_tower.split(lam, t)
-        assert core == lam
-        assert (t_core(lam, t), t_quotient(lam, t)) == (core, quotient)
-        assert is_t_core(lam, t)
-        assert core_tower(lam, t).rows == ((core,),)
-        assert pre_tower_row(lam, t, 1) == quotient
+        assert t_core(lam, t) == lam and is_t_core(lam, t)
+        assert t_quotient(lam, t) == (EMPTY,) * t
+        assert core_tower(lam, t).rows == ((lam,),)
+        assert pre_tower_row(lam, t, 1) == (EMPTY,) * t
+
+    @staticmethod
+    def check_sparse(lam, t):
+        # Rows as {index: partition} of their nonempty entries, from
+        # dense_tower.split on each nonempty entry of the row above.
+        def nonempty(row):
+            return {i: p for i, p in enumerate(row) if p}
+
+        assert (t_core(lam, t), t_quotient(lam, t)) == dense_tower.split(lam, t)
+        level, rows = ({0: lam} if lam else {}), []
+        while level:
+            assert nonempty(pre_tower_row(lam, t, len(rows))) == level
+            splits = {i: dense_tower.split(p, t) for i, p in level.items()}
+            rows.append({i: core for i, (core, _) in splits.items() if core})
+            level = {
+                t * i + r: q
+                for i, (_, qs) in splits.items()
+                for r, q in enumerate(qs)
+                if q
+            }
+        tower = core_tower(lam, t)
+        assert list(map(nonempty, tower.rows)) == (rows or [{}])
+        assert tower.row_sizes == tower_row_sizes(lam, t)
+
+    @given(partitions(max_part=20000, max_len=6), moduli(2, 4))
+    @settings(max_examples=60)
+    def test_parts_far_above_the_length(self, lam, t):
+        self.check_sparse(lam, t)
+
+    @given(partitions(max_part=3 * 10**5, max_len=3), moduli(101, 600))
+    @settings(max_examples=40)
+    def test_parts_far_above_a_large_modulus(self, lam, t):
+        # |lam| < 101**3, so pre-tower row 3 is empty and no row passes
+        # the row guard.
+        self.check_sparse(lam, t)
+
+    def test_memory_follows_the_parts_count_not_their_size(self):
+        lam = Partition((10**12, 10**9 + 7, 10**6, 1))
+        tracemalloc.start()
+        try:
+            for t in (2, 3, 7):
+                assert reconstruct(t_core(lam, t), t_quotient(lam, t), t) == lam
+            assert sum(p.size for p in pre_tower_row(lam, 2, 12)) << 12 <= lam.size
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_row_guard_boundary(self):
         assert len(pre_tower_row(EMPTY, 2, 20)) == 1 << 20
