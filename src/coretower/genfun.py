@@ -24,7 +24,7 @@ from .series import (
     pochhammer_inf,
     series_zero,
 )
-from .tower import _beads, _check_modulus, _defect, _row_sizes
+from .tower import _abacus, _check_modulus, _defect, _row_sizes
 
 Mismatch = tuple[int, int, int]
 
@@ -152,17 +152,19 @@ def _census(t: int, n: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
 
     Returns the tower row totals by row index, the total defect, and the
     number of partitions by tower length (index L counts towers of L rows).
-    Integers only, so the cache holds no partitions.  The quotient
-    components below row 0 have size at most n/t and recur across many
-    partitions of n, so their tower row sizes are memoised for this pass.
+    Integers only, so the cache holds no partitions.  Each partition is
+    walked as its abacus (a position word for every n below 64); the
+    quotient components below row 0 have size at most n/t and recur across
+    many partitions of n, so their row sizes are memoised for this pass,
+    keyed by the component's word.
     """
     _check_modulus(t)
-    memo: dict[tuple, tuple[int, ...]] = {}
+    memo: dict = {}
     rows: list[int] = []
     lengths: list[int] = []
     defects = 0
     for lam in enumerate_partitions(n):
-        sizes = _row_sizes(_beads(lam.parts, len(lam)), n, t, memo)
+        sizes = _row_sizes(_abacus(lam.parts), n, t, memo)
         rows.extend([0] * (len(sizes) - len(rows)))
         for j, size in enumerate(sizes):
             rows[j] += size

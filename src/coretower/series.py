@@ -108,10 +108,11 @@ def mul(a: IntSeries, b: IntSeries) -> IntSeries:
 def mul_nonnegative(a: IntSeries, b: IntSeries) -> IntSeries:
     """mul(a, b) for series with nonnegative coefficients, by one big-integer
     product (Kronecker substitution).  No product coefficient exceeds
-    max(a) * max(b) * (N + 1), so byte slots holding its bit length never
-    carry into the next."""
+    max(a) * max(b) * (N + 1), so byte slots holding its bit length, and
+    that of every operand coefficient, never carry into the next."""
     n = _require_same_order(a, b) + 1
-    width = (max(a.coeffs) * max(b.coeffs) * n).bit_length() // 8 + 1
+    top_a, top_b = max(a.coeffs), max(b.coeffs)
+    width = max(top_a, top_b, top_a * top_b * n).bit_length() // 8 + 1
 
     def pack(xs: tuple[int, ...]) -> int:
         packed = b"".join(x.to_bytes(width, "little") for x in xs)

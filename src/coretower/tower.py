@@ -16,8 +16,8 @@ runner's bead count is its number of 1s, and the number of 0s below a
 operations, with no loop over the beads.  A word has one character per
 position, largest part plus number of parts in all, so a partition whose
 largest part is far above its number of parts is split from its bead
-list instead (see _abacus), in time and memory linear in its length
-plus t.
+list instead (see _abacus), in time and memory that grow with its
+length alone.
 
 Convention fixed here: bead counts are always normalised up to a multiple
 of t before reading off cores and quotients.  This pins down the order of
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
-from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, chain, islice, repeat, zip_longest
+from operator import add, mul, sub
+from typing import Iterator, Sequence
 
 from .partitions import EMPTY, Partition
 
@@ -42,6 +42,8 @@ _MAX_ROW_ENTRIES = 1 << 20
 # parts is split as a bead list; its word would spend more characters than
 # that on each bead.
 _SPARSE = 64
+# A partition as _abacus keeps it: its position word, or its parts.
+_Abacus = str | tuple[int, ...]
 
 
 def _check_modulus(t: int) -> None:
@@ -77,21 +79,20 @@ def _word(parts: tuple[int, ...]) -> str:
     are the differences of consecutive parts, smallest part first."""
     if not parts:
         return ""
-    up = parts[::-1]
-    return "1".join(map("0".__mul__, map(sub, up, (0, *up)))) + "1"
+    gaps = map(sub, reversed(parts), chain((0,), reversed(parts)))
+    return "1".join(map(mul, repeat("0"), gaps)) + "1"
 
 
 def _decode(word: str) -> tuple[int, ...]:
-    """Parts, largest first, of the partition with this position word: the
-    1s below its first 0 are zero parts, and a bead's part is the number
-    of 0s below it."""
-    sizes = list(accumulate(map(len, word.lstrip("1").rstrip("0").split("1"))))
+    """Parts, largest first, of the partition with this position word, kept
+    as _components leaves it: a bead's part is the number of 0s below it."""
+    sizes = list(accumulate(map(len, word.split("1"))))
     sizes.pop()  # the empty piece above the top bead
     sizes.reverse()
     return tuple(sizes)
 
 
-def _abacus(parts: tuple[int, ...]) -> str | tuple[int, ...]:
+def _abacus(parts: tuple[int, ...]) -> _Abacus:
     """What _split takes for the partition with these parts: its position
     word, or the parts themselves when the largest is at least _SPARSE
     times their number."""
@@ -100,8 +101,16 @@ def _abacus(parts: tuple[int, ...]) -> str | tuple[int, ...]:
     return _word(parts)
 
 
-def _as_parts(abacus: str | tuple[int, ...]) -> tuple[int, ...]:
+def _as_parts(abacus: _Abacus) -> tuple[int, ...]:
     return abacus if isinstance(abacus, tuple) else _decode(abacus)
+
+
+def _components(word: str, t: int) -> list[str]:
+    """The quotient component on each runner word[i::t] of a word, as a word
+    no longer than the runner: the runner without the run of 1s at its
+    bottom, which are zero parts, and the 0s above its top bead.  An empty
+    component is the empty word."""
+    return [word[i::t].lstrip("1").rstrip("0") for i in range(t)]
 
 
 def _core(counts: Sequence[int]) -> tuple[int, ...]:
@@ -112,19 +121,18 @@ def _core(counts: Sequence[int]) -> tuple[int, ...]:
     if low == high:
         return ()
     columns = ["1" * (c - low) + "0" * (high - c) for c in counts]
-    return _decode("".join(map("".join, zip(*columns))))
+    word = "".join(map("".join, zip(*columns)))
+    return _decode(_components(word, 1)[0])  # the word read as one runner
 
 
-def _split(abacus: str | tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]:
+def _split(abacus: _Abacus, t: int) -> tuple[tuple[int, ...], list]:
     """Core parts and the (r, abacus) of each nonempty quotient component r
     of the partition with this abacus (see _abacus).
 
     Runner i of a word is word[i::t].  Padding its k beads up to a
     multiple of t would put -k % t beads below position 0, all zero parts,
     so runner i is runner (i - k) % t of the convention, and the pad beads
-    only lengthen the run of 1s at its bottom.  A component is its runner
-    with those 1s and the 0s above its top bead stripped, a word no longer
-    than the runner.
+    only lengthen the run of 1s at its bottom, which _components strips.
     """
     if isinstance(abacus, tuple):
         return _split_beads(abacus, t)
@@ -134,19 +142,15 @@ def _split(abacus: str | tuple[int, ...], t: int) -> tuple[tuple[int, ...], list
         # its runners hold zero parts only.
         return _decode(word), []
     k = word.count("1")
-    runners = [word[i::t] for i in range(t)]
-    children = [
-        ((i - k) % t, child)
-        for i, run in enumerate(runners)
-        if (child := run.lstrip("1").rstrip("0"))
-    ]
-    return _core([run.count("1") for run in runners]), children
+    children = [((i - k) % t, c) for i, c in enumerate(_components(word, t)) if c]
+    return _core([word[i::t].count("1") for i in range(t)]), children
 
 
 def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]:
-    """_split for a partition kept as its parts, in O(len(parts) + t): bead
-    b goes on runner b % t at height b // t, and each component is kept
-    as _abacus chooses."""
+    """_split for a partition kept as its k parts, in O(k log k): bead b
+    goes on runner b % t at height b // t, and each component is kept as
+    _abacus chooses.  Only occupied runners are visited: the core has each
+    one's beads pushed down, at t*h + i on runner i."""
     k = len(parts)
     if parts[0] + k <= t:
         # Its word would be no longer than t: see _split.
@@ -154,13 +158,13 @@ def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]
     runners: dict[int, list[int]] = {}
     for q, i in map(divmod, _beads(parts, k), repeat(t)):
         runners.setdefault(i, []).append(q)
-    counts = [0] * t
-    children = []
-    for i, run in runners.items():
-        counts[i] = len(run)
-        if child := _parts(run):
-            children.append(((i - k) % t, _abacus(child)))
-    return _core(counts), children
+    core = [t * h + i for i, run in runners.items() for h in range(len(run))]
+    children = [
+        ((i - k) % t, _abacus(child))
+        for i, run in runners.items()
+        if (child := _parts(run))
+    ]
+    return _parts(sorted(core, reverse=True)), children
 
 
 def t_core(lam: Partition, t: int) -> Partition:
@@ -176,9 +180,8 @@ def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
     identity |lam| = |core| + t * (total quotient size) always holds.
     """
     _check_modulus(t)
-    children = _split(_abacus(lam.parts), t)[1]
     quotient = [EMPTY] * t
-    for r, child in children:
+    for r, child in _split(_abacus(lam.parts), t)[1]:
         quotient[r] = Partition._trusted(_as_parts(child))
     return tuple(quotient)
 
@@ -278,55 +281,40 @@ def core_tower(lam: Partition, t: int) -> CoreTower:
     return CoreTower(t=t, rows=tuple(rows))
 
 
-def _row_sizes(
-    beads: Iterable[int], size: int, t: int, memo: dict[tuple, tuple[int, ...]]
-) -> tuple[int, ...]:
-    """Tower row sizes of the partition of this size with these beads.
+def _row_sizes(abacus: _Abacus, size: int, t: int, memo: dict) -> tuple[int, ...]:
+    """Tower row sizes of the partition of this size and abacus (_abacus).
 
-    The beads go on the runners once: a runner of c beads at positions
-    run holds a quotient component of size sum(run) - c(c-1)/2, and the
-    core has what is left, size - t * (total quotient size).  Row j + 1 is
-    the sum of row j of the nonempty components' towers, each looked up in
-    memo by the component's minimal bead tuple (no beads for zero parts)
-    and computed on a miss.  No size depends on the bead count, so the
-    beads need no padding to a multiple of t.  No bead lies above size,
-    so only the first min(t, size + 1) runners can hold one.
+    Only the quotient components are read off, as _split reads them, and
+    the core has what is left, size - t * (total component size).  Row
+    j + 1 is the sum of row j of the components' towers.  memo maps a
+    component's abacus to (its size, *its row sizes), computed on a miss,
+    so a component that recurs is walked once.
     """
-    runners: list[list[int]] = [[] for _ in range(min(t, size + 1))]
-    for b in beads:
-        runners[b % t].append(b // t)
-    lower: list[int] = []
-    quotient_size = 0
-    for run in runners:
-        c = len(run)
-        q = sum(run) - c * (c - 1) // 2
-        if q:
-            quotient_size += q
-            # Beads at 0..s-1 encode zero parts: drop them and shift the
-            # rest down.  q > 0 means some bead sits above them.
-            s = 0
-            while run[c - 1 - s] == s:
-                s += 1
-            key = tuple([b - s for b in run[: c - s]] if s else run)
-            sub = memo.get(key)
-            if sub is None:
-                sub = memo[key] = _row_sizes(key, q, t, memo)
-            if len(sub) > len(lower):
-                lower.extend([0] * (len(sub) - len(lower)))
-            for j, x in enumerate(sub):
-                lower[j] += x
-    return (size - t * quotient_size, *lower)
+    if isinstance(abacus, tuple):
+        components = [child for _, child in _split_beads(abacus, t)[1]]
+    elif len(abacus) <= t:
+        return (size,)  # its own core: see _split
+    else:
+        components = _components(abacus, t)
+    subs = []  # (size, *row sizes) of each nonempty component
+    for child in filter(None, components):
+        sub = memo.get(child)
+        if sub is None:
+            q = sum(_as_parts(child))
+            sub = memo[child] = (q, *_row_sizes(child, q, t, memo))
+        subs.append(sub)
+    q, *rows = map(sum, zip_longest(*subs, fillvalue=0)) if subs else (0,)
+    return (size - t * q, *rows)
 
 
 def tower_row_sizes(lam: Partition, t: int) -> tuple[int, ...]:
     """Total size of each tower row, row 0 up to the tower height.
 
-    Sparse equivalent of core_tower(lam, t).row_sizes, computed on bead
-    lists alone by _row_sizes, with a memo that lives for this call: a
-    component that recurs in the tower is walked once.
+    Sparse equivalent of core_tower(lam, t).row_sizes, walked by _row_sizes
+    with a memo that lives for this call; no core is decoded.
     """
     _check_modulus(t)
-    return _row_sizes(_beads(lam.parts, len(lam)), lam.size, t, {})
+    return _row_sizes(_abacus(lam.parts), lam.size, t, {})
 
 
 def row_size(lam: Partition, t: int, j: int) -> int:

@@ -223,6 +223,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out
 
+    def test_recursion_below_a_large_modulus(self, capsys):
+        # Every convolution weight is zero below t, and p(19) = 490.
+        code, out, err = run_cli(
+            capsys, "verify", "recursion", "--t", "20", "--order", "19"
+        )
+        assert (code, out, err) == (0, "recursion t=20 order=19: PASS\n", "")
+
     def test_congruence_reports_the_genuine_counterexample(self, capsys):
         # The vanishing-at-multiples claim is false; the tool must say so
         # and exit 1.

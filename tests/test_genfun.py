@@ -175,7 +175,7 @@ class TestEnumerationCensus:
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
     def test_brute_series_are_sums_over_the_dense_tower(self, t):
         # Per-partition statistics from core_tower and pre_tower_row, which
-        # do not use the bead-only row-size kernel or its memo of shared
+        # do not use the census's row-size kernel or its memo of shared
         # components; j = 3 is past the tower height of most of these
         # partitions.
         order, levels = 16, range(4)
@@ -307,6 +307,14 @@ class TestRecursion:
     def test_zero_order(self):
         assert check_recursion(5, 0).passed
 
+    @pytest.mark.parametrize("t", [2, 17, 18, 20, 24])
+    def test_orders_around_the_modulus(self, t):
+        # Below t every weight of the convolution is zero; from t = 18 on,
+        # p(t - 1) >= 256 no longer fits the slot a zero operand implies.
+        for order in (0, t - 1, t):
+            report = check_recursion(t, order)
+            assert report.passed, report.describe()
+
     def test_packed_product_is_the_convolution(self):
         rng = random.Random(5)
         regular = list(regular_partition_series(2, 300).coeffs)
@@ -314,6 +322,8 @@ class TestRecursion:
         cases = [
             (weights, regular),
             ([0] * 40, [3] * 40),
+            ([0] * 40, [300] * 40),
+            ([300] * 40, [0] * 40),
             ([7], [9]),
             (
                 [rng.choice((0, 1, 2**200 + 1)) for _ in range(60)],

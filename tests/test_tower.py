@@ -300,6 +300,11 @@ class TestSparseWalk:
             for t in (2, 3, 7):
                 assert reconstruct(t_core(lam, t), t_quotient(lam, t), t) == lam
             assert sum(p.size for p in pre_tower_row(lam, 2, 12)) << 12 <= lam.size
+            # At t = 2**20 each bead slides to the bottom of its own runner;
+            # the components (953674) and (953) are 2**20-cores.  The
+            # quotient and the tower have 2**20 entries, so they stay out.
+            assert t_core(lam, 2**20) == Partition((999998, 707079, 331778, 1))
+            assert tower_row_sizes(lam, 2**20) == (2038856, 953674 + 953)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
