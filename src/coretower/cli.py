@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from functools import cache
+from typing import Iterator
 
 from mpmath import mp
 
@@ -41,12 +42,8 @@ def _parse_partition(text: str) -> Partition:
     return make_partition(_parse_ints(text, error))
 
 
-def _fmt_parts(lam: Partition) -> str:
-    return ",".join(str(p) for p in lam.parts)
-
-
-def _fmt_paren(lam: Partition) -> str:
-    return "(" + _fmt_parts(lam) + ")"
+def _fmt_parts(parts) -> str:
+    return ",".join(map(str, parts))
 
 
 def _print_json(payload) -> None:
@@ -59,7 +56,7 @@ def _cmd_core(args) -> int:
     if args.format == "json":
         _print_json({"t": args.t, "partition": list(lam.parts), "core": list(core.parts)})
     else:
-        print(_fmt_parts(core))
+        print(_fmt_parts(core.parts))
     return 0
 
 
@@ -76,7 +73,7 @@ def _cmd_quotient(args) -> int:
         )
     else:
         for r, comp in enumerate(quotient):
-            print(f"{r}: {_fmt_parts(comp)}")
+            print(f"{r}: {_fmt_parts(comp.parts)}")
     return 0
 
 
@@ -88,6 +85,16 @@ def _int_list(xs, depth: int) -> str:
     return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + "  " * depth + "]"
 
 
+def _cells(tower, empty: str, fmt) -> Iterator[list[str]]:
+    """Each row of tower as its t**j rendered cells: fmt(parts) at the
+    nonempty entries, the same empty string at all the others."""
+    for j, row in enumerate(tower.entries):
+        cells = [empty] * tower.t**j
+        for i, parts in row:
+            cells[i] = fmt(parts)
+        yield cells
+
+
 def _cmd_tower(args) -> int:
     lam = _parse_partition(args.partition)
     tower = core_tower(lam, args.t)
@@ -95,8 +102,8 @@ def _cmd_tower(args) -> int:
     # Written directly: json.dumps with indent uses its slow pure-Python encoder.
     if args.format == "json":
         rows = ",\n    ".join(
-            "[\n      " + ",\n      ".join(_int_list(p.parts, 3) for p in r) + "\n    ]"
-            for r in tower.rows
+            "[\n      " + ",\n      ".join(cells) + "\n    ]"
+            for cells in _cells(tower, "[]", lambda parts: _int_list(parts, 3))
         )
         print(
             f'{{\n  "t": {args.t},\n  "partition": {_int_list(lam.parts, 1)},\n'
@@ -104,10 +111,10 @@ def _cmd_tower(args) -> int:
             f'  "row_sizes": {_int_list(tower.row_sizes, 1)},\n  "defect": {d}\n}}'
         )
     else:
-        print(f"t={args.t} partition={_fmt_parts(lam)} size={lam.size}")
-        for j, row in enumerate(tower.rows):
-            cells = " ".join(_fmt_paren(p) for p in row)
-            print(f"row {j}: {cells} size={tower.row_sizes[j]}")
+        print(f"t={args.t} partition={_fmt_parts(lam.parts)} size={lam.size}")
+        paren = _cells(tower, "()", lambda parts: "(" + _fmt_parts(parts) + ")")
+        for j, cells in enumerate(paren):
+            print(f"row {j}: {' '.join(cells)} size={tower.row_sizes[j]}")
         print(f"defect={d}")
     return 0
 

@@ -126,8 +126,8 @@ def _core(counts: Sequence[int]) -> tuple[int, ...]:
 
 
 def _split(abacus: _Abacus, t: int) -> tuple[tuple[int, ...], list]:
-    """Core parts and the (r, abacus) of each nonempty quotient component r
-    of the partition with this abacus (see _abacus).
+    """Core parts and the (r, abacus) of each nonempty quotient component r,
+    in increasing r, of the partition with this abacus (see _abacus).
 
     Runner i of a word is word[i::t].  Padding its k beads up to a
     multiple of t would put -k % t beads below position 0, all zero parts,
@@ -141,9 +141,15 @@ def _split(abacus: _Abacus, t: int) -> tuple[tuple[int, ...], list]:
         # At most one position per runner: the word is its own core, and
         # its runners hold zero parts only.
         return _decode(word), []
-    k = word.count("1")
-    children = [((i - k) % t, c) for i, c in enumerate(_components(word, t)) if c]
-    return _core([word[i::t].count("1") for i in range(t)]), children
+    runners = [word[i::t] for i in range(t)]  # each runner sliced once
+    counts = [r.count("1") for r in runners]
+    k = sum(counts) % t
+    children = [
+        (r, c)
+        for r, runner in enumerate(runners[k:] + runners[:k])
+        if (c := runner.lstrip("1").rstrip("0"))  # as _components strips it
+    ]
+    return _core(counts), children
 
 
 def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]:
@@ -164,6 +170,7 @@ def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]
         for i, run in runners.items()
         if (child := _parts(run))
     ]
+    children.sort()
     return _parts(sorted(core, reverse=True)), children
 
 
@@ -213,11 +220,17 @@ def reconstruct(core: Partition, quotient: Sequence[Partition], t: int) -> Parti
     return Partition._trusted(_parts(sorted(beads, reverse=True)))
 
 
+def _check_row(t: int, j: int) -> None:
+    """Raise ValueError when row j, of t**j entries, is past _MAX_ROW_ENTRIES,
+    without computing t**j."""
+    if t ** min(j, _MAX_ROW_ENTRIES.bit_length()) > _MAX_ROW_ENTRIES:
+        raise ValueError("pre-tower row has too many entries to materialise")
+
+
 def _row(t: int, j: int, entries) -> tuple[Partition, ...]:
     """Row j: the (index, parts) entries, the empty partition at its other t**j
     places; raises ValueError past _MAX_ROW_ENTRIES, without building t**j."""
-    if t ** min(j, _MAX_ROW_ENTRIES.bit_length()) > _MAX_ROW_ENTRIES:
-        raise ValueError("pre-tower row has too many entries to materialise")
+    _check_row(t, j)
     row = [EMPTY] * t**j
     for i, parts in entries:
         row[i] = Partition._trusted(parts)
@@ -226,10 +239,20 @@ def _row(t: int, j: int, entries) -> tuple[Partition, ...]:
 
 def _levels(lam: Partition, t: int) -> Iterator[list]:
     """(index, abacus, core parts, components) of the nonempty entries of
-    pre-tower rows 0, 1, ...; entry i's component r is entry t*i + r below."""
+    pre-tower rows 0, 1, ...; entry i's component r is entry t*i + r below.
+
+    splits maps each abacus met so far to its _split, so an abacus that
+    recurs in the walk is split once; it is dropped with the generator.
+    """
+    splits: dict[_Abacus, tuple] = {}
     level = [(0, _abacus(lam.parts))]
     while level:
-        entries = [(i, a, *_split(a, t)) for i, a in level]
+        entries = []
+        for i, a in level:
+            split = splits.get(a)
+            if split is None:
+                split = splits[a] = _split(a, t)
+            entries.append((i, a, *split))
         yield entries
         level = [(t * i + r, a) for i, _, _, children in entries for r, a in children]
 
@@ -254,31 +277,40 @@ class CoreTower:
     """Rows of t-cores built from iterated quotients of one partition.
 
     Row j holds the t-cores of pre-tower row j, in order, and has t**j
-    entries.  Rows are kept up to the last level whose pre-tower row is
-    nonempty; for the empty partition that is the single row (EMPTY,).
+    entries, most of them empty.  entries[j] keeps only the nonempty ones,
+    as (index in row j, parts) in increasing index; rows is the dense view,
+    built on first use, and row_sizes sums the entries.  Rows are kept up
+    to the last level whose pre-tower row is nonempty; for the empty
+    partition that is the single row (EMPTY,), whose entries are ().
+    core_tower fills entries in one walk that splits each distinct abacus
+    once and keeps no split after it returns.
     """
 
     t: int
-    rows: tuple[tuple[Partition, ...], ...]
+    entries: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
 
     @property
     def height(self) -> int:
-        return len(self.rows) - 1
+        return len(self.entries) - 1
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Partition, ...], ...]:
+        return tuple(_row(self.t, j, row) for j, row in enumerate(self.entries))
 
     @cached_property
     def row_sizes(self) -> tuple[int, ...]:
-        return tuple(sum(p.size for p in row) for row in self.rows)
+        return tuple(sum(sum(parts) for _, parts in row) for row in self.entries)
 
 
 def core_tower(lam: Partition, t: int) -> CoreTower:
     """The t-core tower of lam, up to its first row of t-cores (the next
     pre-tower row is empty); raises ValueError past _MAX_ROW_ENTRIES."""
     _check_modulus(t)
-    rows = (
-        _row(t, j, [(i, core) for i, _, core, _ in entries if core])
-        for j, entries in enumerate(_levels(lam, t))
-    )
-    return CoreTower(t=t, rows=tuple(rows))
+    entries = []
+    for j, level in enumerate(_levels(lam, t)):
+        _check_row(t, j)
+        entries.append(tuple((i, core) for i, _, core, _ in level if core))
+    return CoreTower(t=t, entries=tuple(entries))
 
 
 def _row_sizes(abacus: _Abacus, size: int, t: int, memo: dict) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -84,6 +85,37 @@ class TestTowerCommands:
         assert lines[1] == "row 0: () size=0"
         assert lines[2] == "row 1: " + "() " * 1024 + "(1) size=1"
         assert lines[3] == "defect=1"
+
+
+    @pytest.mark.parametrize(
+        "t, partition, plain, json_",
+        [
+            (
+                "1000", "100000000,50000",
+                "4f490dd7260598a784f8354b04d3ea64799b883d9960bd4bd537a855f84e2b56",
+                "11bccd7161aeec5ec4b16e590f38ec4dbe8f98e1ce7a1dc1a71a11d2e9636a9e",
+            ),
+            (
+                "1048576", "2097152",
+                "de2d18a97603578f1422aefe8fce5bc815c08199453c2de42732be34b7e0f426",
+                "5bd0e44233effcc74c140cdcde48c8e2e8d149c93dc59757047f7d10024c0996",
+            ),
+        ],
+        ids=["t1000", "t1048576"],
+    )
+    def test_wide_sparse_towers_match_their_pins(self, capsys, t, partition, plain, json_):
+        # SHA-256 of stdout as the dense renderer printed it; rows of 10**6
+        # and 2**20 entries, a handful nonempty, too wide for the dense oracle.
+        for fmt, digest in (("plain", plain), ("json", json_)):
+            code, out, _ = run_cli(capsys, "tower", "--t", t, "--format", fmt, partition)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_tower_past_the_row_guard_is_refused(self, capsys):
+        # Row 3 would have 1024**3 entries.
+        code, out, err = run_cli(capsys, "tower", "--t", "1024", "1073741824")
+        assert (code, out) == (2, "")
+        assert err == "error: pre-tower row has too many entries to materialise\n"
 
 
 def reference_tower_outputs(lam, t):

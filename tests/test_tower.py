@@ -1,11 +1,13 @@
 import random
 import tracemalloc
+from itertools import chain, islice
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from coretower import (
+    CoreTower,
     EMPTY,
     Partition,
     core_tower,
@@ -22,6 +24,7 @@ from coretower import (
     tower_row_sizes,
 )
 import dense_tower
+from coretower import tower
 from oracles import removable_rim_hooks, t_core_by_rim_hooks
 from strategies import moduli, partitions
 
@@ -279,6 +282,9 @@ class TestSparseWalk:
             }
         tower = core_tower(lam, t)
         assert list(map(nonempty, tower.rows)) == (rows or [{}])
+        assert tower.entries == tuple(
+            tuple((i, p.parts) for i, p in sorted(row.items())) for row in rows or [{}]
+        )
         assert tower.row_sizes == tower_row_sizes(lam, t)
 
     @given(partitions(max_part=20000, max_len=6), moduli(2, 4))
@@ -315,6 +321,89 @@ class TestSparseWalk:
         for j in (21, 10**9):  # 2**(10**9) is never built
             with pytest.raises(ValueError, match="too many entries"):
                 pre_tower_row(EMPTY, 2, j)
+
+
+class TestSparseTower:
+    """CoreTower keeps only the nonempty cores; rows is derived from them."""
+
+    @staticmethod
+    def nonempty(rows):
+        return tuple(tuple((i, p.parts) for i, p in enumerate(row) if p) for row in rows)
+
+    @given(partitions(max_part=12, max_len=12), moduli(2, 10))
+    @settings(max_examples=150)
+    def test_entries_are_the_nonempty_cores_in_index_order(self, lam, t):
+        rows = dense_tower.core_tower_rows(lam, t)
+        ct = core_tower(lam, t)
+        assert ct.entries == self.nonempty(rows)
+        assert ct.rows == rows
+        assert ct.height == len(rows) - 1
+        assert ct.row_sizes == tuple(sum(p.size for p in row) for row in rows)
+
+    def test_worked_example_entries(self):
+        assert core_tower(WORKED, 2) == CoreTower(
+            t=2, entries=(((0, (3, 2, 1)),), (), ((0, (1,)), (3, (1,))))
+        )
+        assert core_tower(EMPTY, 3).entries == ((),)
+
+    def test_wide_sparse_row(self):
+        # Row 1 has 2**20 entries, one of them nonempty: entries keeps one.
+        ct = core_tower(Partition((1 << 21,)), 1 << 20)
+        assert ct.entries == ((), ((ct.t - 1, (2,)),))
+        assert ct.row_sizes == (0, 2)
+        assert ct.rows[1] == (EMPTY,) * (ct.t - 1) + (Partition((2,)),)
+
+    def test_row_guard(self):
+        # Row 3 would have 1024**3 entries; the walk refuses it.
+        with pytest.raises(ValueError, match="too many entries"):
+            core_tower(Partition((1 << 30,)), 1024)
+
+
+class TestSplitMemo:
+    """_levels splits each distinct abacus once per walk, and keeps no
+    split from one call to the next."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        split = tower._split
+
+        def spying(abacus, t):
+            calls.append(abacus)
+            return split(abacus, t)
+
+        monkeypatch.setattr(tower, "_split", spying)
+        return calls
+
+    @staticmethod
+    def repeating(t):
+        # Quotient of t equal components, each with t equal components.
+        inner = reconstruct(EMPTY, (Partition((4, 2, 2, 1)),) * t, t)
+        return reconstruct(Partition((1,)), (inner,) * t, t)
+
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_core_tower(self, monkeypatch, t):
+        lam = self.repeating(t)
+        rows = dense_tower.core_tower_rows(lam, t)
+        pre_rows = islice(dense_tower.pre_tower_rows(lam, t), len(rows))
+        met = sum(map(bool, chain.from_iterable(pre_rows)))  # nonempty entries
+        calls = self.spy(monkeypatch)
+        assert core_tower(lam, t).rows == rows
+        walk = list(calls)
+        assert len(walk) == len(set(walk)) < met
+        core_tower(lam, t)
+        assert calls == walk + walk
+
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_pre_tower_row(self, monkeypatch, t):
+        lam = self.repeating(t)
+        row = next(islice(dense_tower.pre_tower_rows(lam, t), 2, None))
+        calls = self.spy(monkeypatch)
+        assert pre_tower_row(lam, t, 2) == row
+        walk = list(calls)
+        assert len(walk) == len(set(walk)) < 1 + t + t * t
+        pre_tower_row(lam, t, 2)
+        assert calls == walk + walk
 
 
 class TestDefect:
