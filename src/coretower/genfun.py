@@ -9,12 +9,13 @@ recursion, and monotonicity checkers produce the same report type.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from typing import Callable, Iterable
 
-from .partitions import enumerate_partitions, partition_count
+from .partitions import Partition, _decode, _words, partition_count
 from .series import (
     IntSeries,
     divisor_sum_series,
@@ -24,7 +25,7 @@ from .series import (
     pochhammer_inf,
     series_zero,
 )
-from .tower import _abacus, _check_modulus, _defect, _row_sizes
+from .tower import _check_modulus, _defect, _row_sizes
 
 Mismatch = tuple[int, int, int]
 
@@ -153,24 +154,33 @@ def _census(t: int, n: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     Returns the tower row totals by row index, the total defect, and the
     number of partitions by tower length (index L counts towers of L rows).
     Integers only, so the cache holds no partitions.  Each partition is
-    walked as its abacus (a position word for every n below 64); the
+    walked as its position word, straight from the enumeration; the
     quotient components below row 0 have size at most n/t and recur across
     many partitions of n, so their row sizes are memoised for this pass,
-    keyed by the component's word.
+    keyed by the component's word.  Partitions with the same row sizes are
+    counted together, and the totals and the defect check run once for
+    each distinct tuple of row sizes.
     """
     _check_modulus(t)
     memo: dict = {}
+    tally = Counter(_row_sizes(word, n, t, memo) for word in _words(n))
     rows: list[int] = []
     lengths: list[int] = []
     defects = 0
-    for lam in enumerate_partitions(n):
-        sizes = _row_sizes(_abacus(lam.parts), n, t, memo)
+    for sizes, k in tally.items():
         rows.extend([0] * (len(sizes) - len(rows)))
         for j, size in enumerate(sizes):
-            rows[j] += size
+            rows[j] += k * size
         lengths.extend([0] * (len(sizes) + 1 - len(lengths)))
-        lengths[len(sizes)] += 1
-        defects += _defect(lam, n, t, sizes)
+        lengths[len(sizes)] += k
+        try:
+            defects += k * _defect(None, n, t, sizes)
+        except ArithmeticError:
+            # The check depends on (n, t, sizes) only, so it fails for every
+            # partition with these sizes: name the first one.
+            witness = next(w for w in _words(n) if _row_sizes(w, n, t, {}) == sizes)
+            _defect(Partition._trusted(_decode(witness)), n, t, sizes)
+            raise
     return tuple(rows), defects, tuple(lengths)
 
 

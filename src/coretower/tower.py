@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat, zip_longest
+from itertools import chain, islice, repeat, zip_longest
 from operator import add, mul, sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .partitions import EMPTY, Partition
+from .partitions import EMPTY, Partition, _decode
 
 # Materialisation guard: pre-tower row j has t**j entries, and a t-quotient t.
 _MAX_ROW_ENTRIES = 1 << 20
@@ -83,15 +83,6 @@ def _word(parts: tuple[int, ...]) -> str:
     return "1".join(map(mul, repeat("0"), gaps)) + "1"
 
 
-def _decode(word: str) -> tuple[int, ...]:
-    """Parts, largest first, of the partition with this position word, kept
-    as _components leaves it: a bead's part is the number of 0s below it."""
-    sizes = list(accumulate(map(len, word.split("1"))))
-    sizes.pop()  # the empty piece above the top bead
-    sizes.reverse()
-    return tuple(sizes)
-
-
 def _abacus(parts: tuple[int, ...]) -> _Abacus:
     """What _split takes for the partition with these parts: its position
     word, or the parts themselves when the largest is at least _SPARSE
@@ -113,16 +104,12 @@ def _components(word: str, t: int) -> list[str]:
     return [word[i::t].lstrip("1").rstrip("0") for i in range(t)]
 
 
-def _core(counts: Sequence[int]) -> tuple[int, ...]:
-    """Parts of the t-core whose runner i, for t = len(counts), holds
-    counts[i] beads pushed down; below the least count every position
-    holds a bead."""
-    low, high = min(counts), max(counts)
-    if low == high:
-        return ()
-    columns = ["1" * (c - low) + "0" * (high - c) for c in counts]
-    word = "".join(map("".join, zip(*columns)))
-    return _decode(_components(word, 1)[0])  # the word read as one runner
+def _core(counts: Iterable[tuple[int, int]], t: int) -> tuple[int, ...]:
+    """Parts of the t-core with c beads pushed down runner i, at t*h + i for
+    h < c, for each (i, c) in counts; the runners left out hold none."""
+    beads = [t * h + i for i, c in counts for h in range(c)]
+    beads.sort(reverse=True)
+    return _parts(beads)
 
 
 def _split(abacus: _Abacus, t: int) -> tuple[tuple[int, ...], list]:
@@ -149,7 +136,8 @@ def _split(abacus: _Abacus, t: int) -> tuple[tuple[int, ...], list]:
         for r, runner in enumerate(runners[k:] + runners[:k])
         if (c := runner.lstrip("1").rstrip("0"))  # as _components strips it
     ]
-    return _core(counts), children
+    low = min(counts)  # every position below t * low holds a bead
+    return _core(((i, c - low) for i, c in enumerate(counts)), t), children
 
 
 def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]:
@@ -164,14 +152,13 @@ def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]
     runners: dict[int, list[int]] = {}
     for q, i in map(divmod, _beads(parts, k), repeat(t)):
         runners.setdefault(i, []).append(q)
-    core = [t * h + i for i, run in runners.items() for h in range(len(run))]
     children = [
         ((i - k) % t, _abacus(child))
         for i, run in runners.items()
         if (child := _parts(run))
     ]
     children.sort()
-    return _parts(sorted(core, reverse=True)), children
+    return _core(((i, len(run)) for i, run in runners.items()), t), children
 
 
 def t_core(lam: Partition, t: int) -> Partition:
@@ -357,9 +344,11 @@ def row_size(lam: Partition, t: int, j: int) -> int:
     return sizes[j] if j < len(sizes) else 0
 
 
-def _defect(lam: Partition, n: int, t: int, sizes: Sequence[int]) -> int:
+def _defect(lam: Partition | None, n: int, t: int, sizes: Sequence[int]) -> int:
     """(n - sum(sizes)) / (t - 1) for the tower row sizes of lam, a partition
-    of n; raises ArithmeticError unless that is a nonnegative integer."""
+    of n; raises ArithmeticError, naming lam, unless that is a nonnegative
+    integer.  A caller that has not found lam yet passes None and looks it
+    up only when the error is raised."""
     quot, rem = divmod(n - sum(sizes), t - 1)
     if rem or quot < 0:
         raise ArithmeticError(

@@ -28,6 +28,7 @@ from coretower import (
 )
 from coretower import genfun
 from coretower.series import IntSeries, mul, mul_nonnegative, partition_series
+from coretower.tower import _word
 from core_totals import first_nonvanishing_multiple
 from oracles import regular_partition_counts_brute
 
@@ -244,6 +245,24 @@ class TestEnumerationCensus:
             n * partition_count(n) for n in range(order + 1)
         )
         assert defect_series_brute(t, order).coeffs == (0,) * (order + 1)
+
+
+class TestCensusDefectCheck:
+    """The census checks each distinct tuple of row sizes once, and names a
+    partition of n when the check fails."""
+
+    def test_impossible_row_sizes_name_a_partition_of_n(self, monkeypatch):
+        # Only (3, 2, 1) gets row sizes summing past n, a negative defect,
+        # so it is the one named, not (6), the first partition enumerated.
+        n, t = 6, 2
+        real, bad = genfun._row_sizes, _word((3, 2, 1))
+
+        def fake(word, size, t, memo):
+            return (size + 1,) if word == bad else real(word, size, t, memo)
+
+        monkeypatch.setattr(genfun, "_row_sizes", fake)
+        with pytest.raises(ArithmeticError, match=r"defect of Partition\(\[3, 2, 1\]\)"):
+            genfun._census.__wrapped__(t, n)
 
 
 class TestCoreSizeTotals:

@@ -13,6 +13,8 @@ from coretower import (
     make_partition,
     partition_count,
 )
+from coretower.partitions import _words
+from coretower.tower import _word
 from strategies import partitions
 
 
@@ -159,7 +161,7 @@ class TestEnumeration:
         assert all(lam.size == n for lam in seen)
 
     def test_order_is_reverse_lexicographic(self):
-        for n in range(12):
+        for n in range(26):
             got = [lam.parts for lam in enumerate_partitions(n)]
             assert got == sorted(got, reverse=True)
 
@@ -175,6 +177,18 @@ class TestEnumeration:
     def test_counts_match_recurrence_up_to_30(self):
         for n in range(31):
             assert sum(1 for _ in enumerate_partitions(n)) == partition_count(n)
+
+
+class TestPositionWords:
+    """The census walks _words; enumerate_partitions decodes the same stream."""
+
+    @pytest.mark.parametrize("n", range(0, 26))
+    def test_words_encode_the_partition_stream(self, n):
+        words = list(_words(n))
+        assert words == [_word(lam.parts) for lam in enumerate_partitions(n)]
+        # Independent of _decode: the oracle's parts are encoded directly.
+        assert words == [_word(p) for p in descending_parts(n, n)]
+        assert len(words) == partition_count(n)
 
 
 class TestPartitionCount:
