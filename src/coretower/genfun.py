@@ -21,7 +21,7 @@ from .series import (
     divisor_sum_series,
     euler_product,
     div,
-    mul_nonnegative,
+    mul,
     pochhammer_inf,
     series_zero,
 )
@@ -287,14 +287,15 @@ def check_congruence(t: int, order: int, claim: str = "both") -> VerificationRep
 def check_recursion(t: int, order: int) -> VerificationReport:
     """Checks the exact recursion relating total core sizes to n*p(n) and
     counts of partitions with no part divisible by t: the correction at n
-    is the convolution sum over t | m <= n of m*p(m/t) * regular[n - m]."""
+    is the convolution sum over t | m <= n of m*p(m/t) * regular[n - m],
+    formed by one exact series product (series.mul)."""
     _check_params(t, order=order)
     totals = core_size_totals(t, order)
     regular = regular_partition_series(t, order)
     weights = [0] * (order + 1)
     for m in range(t, order + 1, t):
         weights[m] = m * partition_count(m // t)
-    correction = mul_nonnegative(IntSeries(tuple(weights)), regular).coeffs
+    correction = mul(IntSeries(tuple(weights)), regular).coeffs
     mismatch = _first(
         (n, totals[n], n * partition_count(n) - t * correction[n])
         for n in range(order + 1)

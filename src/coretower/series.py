@@ -42,16 +42,17 @@ class IntSeries:
         return add(self, other)
 
     def __sub__(self, other: "IntSeries") -> "IntSeries":
-        return add(self, negate(other))
+        return add(self, -other)
 
     def __neg__(self) -> "IntSeries":
         return negate(self)
 
-    def __mul__(self, other: "IntSeries") -> "IntSeries":
+    def __mul__(self, other: "IntSeries | int") -> "IntSeries":
+        if isinstance(other, int):
+            return IntSeries(tuple(other * c for c in self.coeffs))
         return mul(self, other)
 
-    def __rmul__(self, scalar: int) -> "IntSeries":
-        return IntSeries(tuple(scalar * c for c in self.coeffs))
+    __rmul__ = __mul__
 
     def __truediv__(self, other: "IntSeries") -> "IntSeries":
         return div(self, other)
@@ -63,6 +64,9 @@ class IntSeries:
 
 
 def _require_same_order(a: IntSeries, b: IntSeries) -> int:
+    if not (isinstance(a, IntSeries) and isinstance(b, IntSeries)):
+        names = f"{type(a).__name__} and {type(b).__name__}"
+        raise TypeError(f"series operands required, got {names}")
     if a.truncation_order != b.truncation_order:
         raise OrderMismatchError(
             f"truncation orders differ: {a.truncation_order} vs {b.truncation_order}"
@@ -92,35 +96,27 @@ def negate(a: IntSeries) -> IntSeries:
 
 
 def mul(a: IntSeries, b: IntSeries) -> IntSeries:
-    """Cauchy product truncated at the common order."""
-    n = _require_same_order(a, b)
-    out = [0] * (n + 1)
-    bc = b.coeffs
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j in range(n + 1 - i):
-                bj = bc[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return IntSeries(tuple(out))
-
-
-def mul_nonnegative(a: IntSeries, b: IntSeries) -> IntSeries:
-    """mul(a, b) for series with nonnegative coefficients, by one big-integer
-    product (Kronecker substitution).  No product coefficient exceeds
-    max(a) * max(b) * (N + 1), so byte slots holding its bit length, and
-    that of every operand coefficient, never carry into the next."""
+    """Cauchy product truncated at the common order, by one big-integer
+    product (Kronecker substitution) of signed coefficients.  No product
+    coefficient exceeds top_a * top_b * (N + 1), with top = max |c|, so
+    byte slots one bit wider than that and than every operand coefficient
+    hold each coefficient c as a balanced digit, stored as c + half.
+    Packing takes that bias (half in every slot) off again, and decoding
+    adds it back, which carries each slot's borrow into the next."""
     n = _require_same_order(a, b) + 1
-    top_a, top_b = max(a.coeffs), max(b.coeffs)
+    top_a, top_b = max(map(abs, a.coeffs)), max(map(abs, b.coeffs))
     width = max(top_a, top_b, top_a * top_b * n).bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
 
     def pack(xs: tuple[int, ...]) -> int:
-        packed = b"".join(x.to_bytes(width, "little") for x in xs)
-        return int.from_bytes(packed, "little")
+        packed = b"".join((x + half).to_bytes(width, "little") for x in xs)
+        return int.from_bytes(packed, "little") - bias
 
-    data = (pack(a.coeffs) * pack(b.coeffs)).to_bytes(2 * n * width, "little")
-    slots = range(0, n * width, width)
-    return IntSeries(tuple(int.from_bytes(data[i : i + width], "little") for i in slots))
+    low = (pack(a.coeffs) * pack(b.coeffs) + bias) & ((1 << 8 * width * n) - 1)
+    data = low.to_bytes(n * width, "little")
+    slots = (data[i : i + width] for i in range(0, n * width, width))
+    return IntSeries(tuple(int.from_bytes(x, "little") - half for x in slots))
 
 
 def div(a: IntSeries, b: IntSeries) -> IntSeries:

@@ -2,8 +2,9 @@
 
 Each computes a result the library also computes, by a route that shares
 none of its code: rim-hook deletion on the part lists instead of the
-abacus, the Lambert form of the divisor-sum series, and enumeration of
-the partitions with no part divisible by t.
+abacus, the Lambert form of the divisor-sum series, enumeration of the
+partitions with no part divisible by t, and the schoolbook Cauchy product
+in place of the packed one.
 """
 
 from coretower import IntSeries, Partition, enumerate_partitions
@@ -75,3 +76,15 @@ def regular_partition_counts_brute(t: int, order: int) -> IntSeries:
         for n in range(order + 1)
     )
     return IntSeries(tuple(counts))
+
+
+def mul_dense(a: IntSeries, b: IntSeries) -> IntSeries:
+    """Cauchy product truncated at the common order, coefficient by
+    coefficient: the O(N**2) reference for series.mul."""
+    n = a.truncation_order
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a.coeffs):
+        if ai:
+            for j in range(n + 1 - i):
+                out[i + j] += ai * b.coeffs[j]
+    return IntSeries(tuple(out))

@@ -27,10 +27,10 @@ from coretower import (
     telescoped_row_weight_check,
 )
 from coretower import genfun
-from coretower.series import IntSeries, mul, mul_nonnegative, partition_series
+from coretower.series import IntSeries, mul, partition_series
 from coretower.tower import _word
 from core_totals import first_nonvanishing_multiple
-from oracles import regular_partition_counts_brute
+from oracles import mul_dense, regular_partition_counts_brute
 
 # Values frozen from the brute-force enumerators; the closed forms must
 # reproduce them exactly.
@@ -334,24 +334,46 @@ class TestRecursion:
             report = check_recursion(t, order)
             assert report.passed, report.describe()
 
+    @pytest.mark.parametrize("t", range(2, 8))
+    def test_passes_to_order_three_thousand(self, t):
+        report = check_recursion(t, 3000)
+        assert report.passed, report.describe()
+
     def test_packed_product_is_the_convolution(self):
         rng = random.Random(5)
         regular = list(regular_partition_series(2, 300).coeffs)
         weights = [m * partition_count(m // 2) if m and m % 2 == 0 else 0 for m in range(301)]
+        top = 2**200
+        # 3**10000 has 4772 decimal digits, past the default limit of
+        # sys.get_int_max_str_digits() (4300) on str() of one int.
+        huge = 3**10000
         cases = [
             (weights, regular),
             ([0] * 40, [3] * 40),
             ([0] * 40, [300] * 40),
+            ([0] * 40, [-300] * 40),
             ([300] * 40, [0] * 40),
+            ([0] * 40, [0] * 40),
             ([7], [9]),
+            ([-7], [9]),
+            ([0], [-top]),
             (
                 [rng.choice((0, 1, 2**200 + 1)) for _ in range(60)],
                 [rng.randrange(2**90) for _ in range(60)],
             ),
+            (
+                [rng.choice((0, 1, -1, top, -top)) for _ in range(60)],
+                [rng.randrange(-top, top + 1) for _ in range(60)],
+            ),
+            ([top] * 30, [-top] * 30),
+            (
+                [huge] + [rng.randrange(-9, 10) for _ in range(20)],
+                [rng.randrange(-top, top + 1) for _ in range(20)] + [-huge],
+            ),
         ]
         for a, b in cases:
             a, b = IntSeries(tuple(a)), IntSeries(tuple(b))
-            assert mul_nonnegative(a, b) == mul(a, b)
+            assert mul(a, b) == mul_dense(a, b)
 
     def test_reports_a_planted_mismatch(self, monkeypatch):
         totals = core_size_totals(3, 90)

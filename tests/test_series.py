@@ -25,7 +25,7 @@ from coretower import (
     truncate,
 )
 from coretower.series import from_json_dict, to_csv, to_json_dict
-from oracles import divisor_sum_series_lambert
+from oracles import divisor_sum_series_lambert, mul_dense
 from strategies import small_series_coeffs
 
 
@@ -97,9 +97,41 @@ class TestRingBasics:
         assert mul(fa, add(fb, fc)) == add(mul(fa, fb), mul(fa, fc))
         assert add(fa, negate(fa)) == series_zero(fa.truncation_order)
 
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-(2**100), 2**100), min_size=n + 1, max_size=n + 1),
+                min_size=2,
+                max_size=2,
+            )
+        )
+    )
+    def test_product_matches_the_dense_reference(self, pair):
+        fa, fb = (IntSeries(tuple(c)) for c in pair)
+        assert mul(fa, fb) == mul_dense(fa, fb)
+
     def test_scalar_multiplication(self):
         f = IntSeries((1, 2, 3))
         assert (5 * f).coeffs == (5, 10, 15)
+        assert f * -3 == -3 * f == IntSeries((-3, -6, -9))
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda f: 0.5 * f,
+            lambda f: f * 0.5,
+            lambda f: f * "2",
+            lambda f: f + 3,
+            lambda f: f - 1,
+            lambda f: f / 2,
+            lambda f: add(3, f),
+        ],
+        ids=["float-times", "times-float", "times-str", "plus-int", "minus-int",
+             "div-int", "add-int-first"],
+    )
+    def test_non_series_operands_are_refused(self, op):
+        with pytest.raises(TypeError, match="series operands"):
+            op(IntSeries((1, 2, 3)))
 
     def test_truncate(self):
         f = IntSeries((1, 2, 3, 4))
