@@ -20,15 +20,10 @@ from coretower import (  # noqa: E402
     check_congruence,
     check_recursion,
     compare_series,
-    defect_series,
-    defect_series_brute,
-    generalized_core_series,
-    generalized_core_series_brute,
     monotonicity_check,
-    row_weight_series,
-    row_weight_series_brute,
     telescoped_row_weight_check,
 )
+from coretower.genfun import FAMILIES  # noqa: E402
 
 
 def main() -> int:
@@ -39,35 +34,21 @@ def main() -> int:
                         help="truncation order for congruence and recursion checks")
     args = parser.parse_args()
 
-    reports = []
     small = min(args.order, 25)
-
-    for t in (2, 3, 4, 5):
-        for j in (0, 1, 2):
-            reports.append(
-                compare_series(
-                    "row-weights",
-                    row_weight_series(j, t, args.order),
-                    row_weight_series_brute(j, t, args.order),
-                    t=t,
-                    j=j,
-                )
-            )
-    for t in (2, 3, 5):
+    # (label, family, t, j, order): closed form against enumeration.
+    battery = [
+        ("row-weights", "T", t, j, args.order) for t in (2, 3, 4, 5) for j in (0, 1, 2)
+    ]
+    battery += [("defects", "D", t, None, small) for t in (2, 3, 5)]
+    battery += [
+        ("generalized-cores", "cores", t, j, small)
+        for j, t in ((0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 2))
+    ]
+    reports = []
+    for label, family, t, j, order in battery:
+        closed, enumerated = FAMILIES[family]
         reports.append(
-            compare_series(
-                "defects", defect_series(t, small), defect_series_brute(t, small), t=t
-            )
-        )
-    for j, t in ((0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 2)):
-        reports.append(
-            compare_series(
-                "generalized-cores",
-                generalized_core_series(j, t, small),
-                generalized_core_series_brute(j, t, small),
-                t=t,
-                j=j,
-            )
+            compare_series(label, closed(j, t, order), enumerated(j, t, order), t=t, j=j)
         )
     for t in range(2, 8):
         reports.append(check_congruence(t, args.congruence_order, claim="np"))

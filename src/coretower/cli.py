@@ -46,34 +46,27 @@ def _fmt_parts(parts) -> str:
     return ",".join(map(str, parts))
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit(args, payload, text: str) -> None:
+    """Write payload as indented JSON under --format json, else text, which
+    ends with its own newline."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    sys.stdout.write(text)
 
 
 def _cmd_core(args) -> int:
     lam = _parse_partition(args.partition)
     core = t_core(lam, args.t)
-    if args.format == "json":
-        _print_json({"t": args.t, "partition": list(lam.parts), "core": list(core.parts)})
-    else:
-        print(_fmt_parts(core.parts))
+    payload = {"t": args.t, "partition": list(lam.parts), "core": list(core.parts)}
+    _emit(args, payload, _fmt_parts(core.parts) + "\n")
     return 0
 
 
 def _cmd_quotient(args) -> int:
     lam = _parse_partition(args.partition)
-    quotient = t_quotient(lam, args.t)
-    if args.format == "json":
-        _print_json(
-            {
-                "t": args.t,
-                "partition": list(lam.parts),
-                "quotient": [list(c.parts) for c in quotient],
-            }
-        )
-    else:
-        for r, comp in enumerate(quotient):
-            print(f"{r}: {_fmt_parts(comp.parts)}")
+    quotient = [list(c.parts) for c in t_quotient(lam, args.t)]
+    text = "".join(f"{r}: {_fmt_parts(parts)}\n" for r, parts in enumerate(quotient))
+    _emit(args, {"t": args.t, "partition": list(lam.parts), "quotient": quotient}, text)
     return 0
 
 
@@ -128,7 +121,6 @@ def _cmd_series(args) -> int:
         raise ValueError(f"series {family} requires --j")
     if family == "D" and args.j is not None:
         raise ValueError("series D takes no --j")
-    j = args.j if args.j is not None else 0
     order = args.order
     if args.mode in ("brute", "both") and order > ceiling:
         raise ValueError(
@@ -141,20 +133,19 @@ def _cmd_series(args) -> int:
             raise ValueError("csv format is not available for verification reports")
         report = genfun.compare_series(
             f"series.{family}",
-            closed_form(j, args.t, order),
-            enumerated(j, args.t, order),
+            closed_form(args.j, args.t, order),
+            enumerated(args.j, args.t, order),
             t=args.t,
             j=args.j,
         )
-        if args.format == "json":
-            _print_json(report.to_json_dict())
-        else:
-            print(report.describe())
+        _emit(args, report.to_json_dict(), report.describe() + "\n")
         return 0 if report.passed else 1
 
-    result = (closed_form if args.mode == "closed" else enumerated)(j, args.t, order)
+    build = closed_form if args.mode == "closed" else enumerated
+    result = build(args.j, args.t, order)
+    # Only the rendering asked for is built: each is a str() per coefficient.
     if args.format == "json":
-        _print_json(qs.to_json_dict(result))
+        print(json.dumps(qs.to_json_dict(result), indent=2))
     elif args.format == "csv":
         sys.stdout.write(qs.to_csv(result))
     else:
@@ -174,11 +165,8 @@ def _cmd_verify(args) -> int:
         reports = [genfun.check_recursion(t, order)]
     else:
         reports = [genfun.monotonicity_check(t, order)]
-    if args.format == "json":
-        _print_json({"reports": [r.to_json_dict() for r in reports]})
-    else:
-        for r in reports:
-            print(r.describe())
+    payload = {"reports": [r.to_json_dict() for r in reports]}
+    _emit(args, payload, "".join(r.describe() + "\n" for r in reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -199,21 +187,18 @@ def _precision(args) -> int:
 def _cmd_asympt_defect(args) -> int:
     ns = _parse_ints(args.samples, f"bad sample list {args.samples!r}")
     samples = asymptotics.defect_samples(args.t, ns, dps=_precision(args))
-    if args.format == "json":
-        _print_json(
-            [
-                {
-                    "n": s.n,
-                    "exact": str(s.exact),
-                    "predicted_main_term": mp.nstr(s.predicted_main_term, 15),
-                    "predicted_np_over_t1": mp.nstr(s.predicted_np_over_t1, 15),
-                    "ratio": mp.nstr(s.ratio, 15),
-                }
-                for s in samples
-            ]
-        )
-    else:
-        sys.stdout.write(asymptotics.samples_to_csv(samples))
+    payload = [
+        {
+            "n": s.n,
+            "exact": str(s.exact),
+            "predicted_main_term": mp.nstr(s.predicted_main_term, 15),
+            "predicted_np_over_t1": mp.nstr(s.predicted_np_over_t1, 15),
+            "ratio": mp.nstr(s.ratio, 15),
+        }
+        for s in samples
+    ]
+    # Plain output is the csv table.
+    _emit(args, payload, asymptotics.samples_to_csv(samples))
     return 0
 
 
@@ -221,10 +206,9 @@ def _cmd_asympt_transform(args) -> int:
     residual = asymptotics.eisenstein_transform_residual(
         args.m, args.eps, dps=_precision(args)
     )
-    if args.format == "json":
-        _print_json({"m": args.m, "eps": args.eps, "residual": mp.nstr(residual, 12)})
-    else:
-        print(f"residual {mp.nstr(residual, 12)}")
+    shown = mp.nstr(residual, 12)
+    payload = {"m": args.m, "eps": args.eps, "residual": shown}
+    _emit(args, payload, f"residual {shown}\n")
     return 0
 
 

@@ -42,18 +42,15 @@ class VerificationReport:
     t: int | None
     j: int | None
     order_checked: int
-    status: str
     first_mismatch: Mismatch | None
 
-    def __post_init__(self) -> None:
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"status must be 'pass' or 'fail', got {self.status!r}")
-        if (self.status == "pass") != (self.first_mismatch is None):
-            raise ValueError("status must be 'pass' exactly when there is no mismatch")
+    @property
+    def status(self) -> str:
+        return "pass" if self.first_mismatch is None else "fail"
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.first_mismatch is None
 
     def describe(self) -> str:
         bits = [self.identity_name]
@@ -87,13 +84,6 @@ class VerificationReport:
         }
 
 
-def _report(
-    name: str, t: int | None, j: int | None, order: int, mismatch: Mismatch | None
-) -> VerificationReport:
-    status = "pass" if mismatch is None else "fail"
-    return VerificationReport(name, t, j, order, status, mismatch)
-
-
 def _first(triples: Iterable[Mismatch]) -> Mismatch | None:
     """The first (n, got, want) with got != want, or None."""
     return next(((n, got, want) for n, got, want in triples if got != want), None)
@@ -110,7 +100,7 @@ def compare_series(
     if closed.truncation_order != brute.truncation_order:
         raise ValueError("compared series must have equal truncation orders")
     mismatch = _first(zip(count(), closed.coeffs, brute.coeffs))
-    return _report(identity_name, t, j, closed.truncation_order, mismatch)
+    return VerificationReport(identity_name, t, j, closed.truncation_order, mismatch)
 
 
 def _check_params(t: int, j: int = 0, order: int = 0) -> None:
@@ -148,47 +138,43 @@ def row_weight_series(j: int, t: int, order: int) -> IntSeries:
 
 
 @lru_cache(maxsize=None)
-def _census(t: int, n: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """One pass over the partitions of n for modulus t.
+def _census(t: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """One pass over the partitions of n for modulus t: (row sizes, count)
+    for each distinct tuple of tower row sizes.
 
-    Returns the tower row totals by row index, the total defect, and the
-    number of partitions by tower length (index L counts towers of L rows).
     Integers only, so the cache holds no partitions.  Each partition is
     walked as its position word, straight from the enumeration; the
     quotient components below row 0 have size at most n/t and recur across
     many partitions of n, so their row sizes are memoised for this pass,
-    keyed by the component's word.  Partitions with the same row sizes are
-    counted together, and the totals and the defect check run once for
-    each distinct tuple of row sizes.
+    keyed by the component's word.  The defect check runs once for each
+    distinct tuple.
     """
     _check_modulus(t)
     memo: dict = {}
     tally = Counter(_row_sizes(word, n, t, memo) for word in _words(n))
-    rows: list[int] = []
-    lengths: list[int] = []
-    defects = 0
-    for sizes, k in tally.items():
-        rows.extend([0] * (len(sizes) - len(rows)))
-        for j, size in enumerate(sizes):
-            rows[j] += k * size
-        lengths.extend([0] * (len(sizes) + 1 - len(lengths)))
-        lengths[len(sizes)] += k
+    for sizes in tally:
         try:
-            defects += k * _defect(None, n, t, sizes)
+            _defect(None, n, t, sizes)
         except ArithmeticError:
             # The check depends on (n, t, sizes) only, so it fails for every
             # partition with these sizes: name the first one.
             witness = next(w for w in _words(n) if _row_sizes(w, n, t, {}) == sizes)
             _defect(Partition._trusted(_decode(witness)), n, t, sizes)
             raise
-    return tuple(rows), defects, tuple(lengths)
+    return tuple(tally.items())
+
+
+def _enumerated(t: int, order: int, stat: Callable[[int, tuple], int]) -> IntSeries:
+    """The series whose coefficient of q**n sums stat(n, row sizes) over the
+    partitions of n, read off the census."""
+    sums = (sum(k * stat(n, s) for s, k in _census(t, n)) for n in range(order + 1))
+    return IntSeries(tuple(sums))
 
 
 def row_weight_series_brute(j: int, t: int, order: int) -> IntSeries:
     """Brute-force twin of row_weight_series by full enumeration."""
     _check_params(t, j, order)
-    rows = (_census(t, n)[0] for n in range(order + 1))
-    return IntSeries(tuple(r[j] if j < len(r) else 0 for r in rows))
+    return _enumerated(t, order, lambda n, sizes: sizes[j] if j < len(sizes) else 0)
 
 
 def defect_series(t: int, order: int) -> IntSeries:
@@ -204,7 +190,7 @@ def defect_series(t: int, order: int) -> IntSeries:
 
 def defect_series_brute(t: int, order: int) -> IntSeries:
     _check_params(t, order=order)
-    return IntSeries(tuple(_census(t, n)[1] for n in range(order + 1)))
+    return _enumerated(t, order, lambda n, sizes: _defect(None, n, t, sizes))
 
 
 def generalized_core_series(j: int, t: int, order: int) -> IntSeries:
@@ -221,7 +207,8 @@ def generalized_core_series(j: int, t: int, order: int) -> IntSeries:
 
 def generalized_core_series_brute(j: int, t: int, order: int) -> IntSeries:
     _check_params(t, j, order)
-    return IntSeries(tuple(sum(_census(t, n)[2][: j + 2]) for n in range(order + 1)))
+    # A partition counts when its tower has at most j + 1 rows.
+    return _enumerated(t, order, lambda n, sizes: len(sizes) <= j + 1)
 
 
 # Family name -> (closed form, enumeration twin), each called as f(j, t, order);
@@ -281,7 +268,7 @@ def check_congruence(t: int, order: int, claim: str = "both") -> VerificationRep
             if claim != "np" and n % t == 0:
                 yield n, observed, 0
 
-    return _report(f"congruence.{claim}", t, None, order, _first(residues()))
+    return VerificationReport(f"congruence.{claim}", t, None, order, _first(residues()))
 
 
 def check_recursion(t: int, order: int) -> VerificationReport:
@@ -300,7 +287,7 @@ def check_recursion(t: int, order: int) -> VerificationReport:
         (n, totals[n], n * partition_count(n) - t * correction[n])
         for n in range(order + 1)
     )
-    return _report("recursion", t, None, order, mismatch)
+    return VerificationReport("recursion", t, None, order, mismatch)
 
 
 def monotonicity_check(t: int, order: int) -> VerificationReport:
@@ -320,7 +307,7 @@ def monotonicity_check(t: int, order: int) -> VerificationReport:
         if n >= 2 and coeffs[n] < coeffs[n - 1]:
             mismatch = (n, coeffs[n], coeffs[n - 1])
             break
-    return _report("monotonicity", t, None, order, mismatch)
+    return VerificationReport("monotonicity", t, None, order, mismatch)
 
 
 def telescoped_row_weight_check(t: int, j: int, order: int) -> VerificationReport:

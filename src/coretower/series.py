@@ -26,6 +26,9 @@ class IntSeries:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
+        if (types := set(map(type, self.coeffs))) != {int}:
+            names = ", ".join(sorted(t.__name__ for t in types - {int}))
+            raise TypeError(f"series coefficients must be int, got {names}")
 
     @property
     def truncation_order(self) -> int:
@@ -58,9 +61,17 @@ class IntSeries:
         return div(self, other)
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:8])
+        head = ", ".join(map(_shown, self.coeffs[:8]))
         tail = ", ..." if len(self.coeffs) > 8 else ""
         return f"IntSeries(N={self.truncation_order}, [{head}{tail}])"
+
+
+def _shown(c: int) -> str:
+    """c in decimal, or its bit length past str()'s digit limit."""
+    try:
+        return str(c)
+    except ValueError:
+        return f"<{c.bit_length()}-bit int>"
 
 
 def _require_same_order(a: IntSeries, b: IntSeries) -> int:

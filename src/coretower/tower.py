@@ -146,9 +146,6 @@ def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]
     _abacus chooses.  Only occupied runners are visited: the core has each
     one's beads pushed down, at t*h + i on runner i."""
     k = len(parts)
-    if parts[0] + k <= t:
-        # Its word would be no longer than t: see _split.
-        return parts, []
     runners: dict[int, list[int]] = {}
     for q, i in map(divmod, _beads(parts, k), repeat(t)):
         runners.setdefault(i, []).append(q)
@@ -174,10 +171,8 @@ def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
     identity |lam| = |core| + t * (total quotient size) always holds.
     """
     _check_modulus(t)
-    quotient = [EMPTY] * t
-    for r, child in _split(_abacus(lam.parts), t)[1]:
-        quotient[r] = Partition._trusted(_as_parts(child))
-    return tuple(quotient)
+    children = _split(_abacus(lam.parts), t)[1]
+    return _row(t, 1, ((r, _as_parts(child)) for r, child in children))
 
 
 def is_t_core(lam: Partition, t: int) -> bool:

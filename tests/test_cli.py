@@ -324,6 +324,96 @@ class TestAsymptCommand:
         assert float(payload["residual"]) < 1e-8
 
 
+class TestJsonOutputs:
+    """The exact --format json output of each command that has one; every
+    payload is json.dumps(payload, indent=2) plus a newline."""
+
+    @staticmethod
+    def pinned(payload) -> str:
+        return json.dumps(payload, indent=2) + "\n"
+
+    def test_core(self, capsys):
+        code, out, _ = run_cli(capsys, "core", "--t", "2", "--format", "json", "5,4,2,2,1")
+        assert code == 0
+        assert out == (
+            '{\n  "t": 2,\n  "partition": [\n    5,\n    4,\n    2,\n    2,\n'
+            '    1\n  ],\n  "core": [\n    3,\n    2,\n    1\n  ]\n}\n'
+        )
+
+    def test_quotient(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "quotient", "--t", "2", "--format", "json", "5,4,2,2,1"
+        )
+        assert code == 0
+        assert out == self.pinned(
+            {"t": 2, "partition": [5, 4, 2, 2, 1], "quotient": [[1, 1], [2]]}
+        )
+
+    def test_asympt_defect(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "asympt", "defect", "--t", "2", "--samples", "10,20",
+            "--format", "json",
+        )
+        assert code == 0
+        assert out == self.pinned(
+            [
+                {
+                    "n": 10,
+                    "exact": "274",
+                    "predicted_main_term": "481.043088172208",
+                    "predicted_np_over_t1": "420.0",
+                    "ratio": "0.652380952380952",
+                },
+                {
+                    "n": 20,
+                    "exact": "8940",
+                    "predicted_main_term": "13847.69281019",
+                    "predicted_np_over_t1": "12540.0",
+                    "ratio": "0.712918660287081",
+                },
+            ]
+        )
+
+    @pytest.mark.parametrize("family, j", [("T", 0), ("D", None)])
+    def test_series_both_passing(self, capsys, family, j):
+        row = ("--j", str(j)) if j is not None else ()
+        code, out, _ = run_cli(
+            capsys, "series", family, *row, "--t", "2", "--order", "3",
+            "--mode", "both", "--format", "json",
+        )
+        assert code == 0
+        assert out == self.pinned(
+            {
+                "identity": f"series.{family}",
+                "t": 2,
+                "j": j,
+                "order_checked": 3,
+                "status": "pass",
+                "first_mismatch": None,
+            }
+        )
+
+    def test_series_both_failing(self, capsys, monkeypatch):
+        closed, enumerated = cli.genfun.FAMILIES["T"]
+        planted = lambda j, t, order: 2 * enumerated(j, t, order)  # noqa: E731
+        monkeypatch.setitem(cli.genfun.FAMILIES, "T", (closed, planted))
+        code, out, _ = run_cli(
+            capsys, "series", "T", "--j", "0", "--t", "2", "--order", "3",
+            "--mode", "both", "--format", "json",
+        )
+        assert code == 1
+        assert out == self.pinned(
+            {
+                "identity": "series.T",
+                "t": 2,
+                "j": 0,
+                "order_checked": 3,
+                "status": "fail",
+                "first_mismatch": {"n": 1, "closed_value": "1", "brute_value": "2"},
+            }
+        )
+
+
 class TestUsageErrors:
     def test_small_modulus(self, capsys):
         code, _, err = run_cli(capsys, "core", "--t", "1", "3,1")

@@ -397,6 +397,21 @@ class TestMonotonicity:
         report = compare_series("planted", IntSeries((0, 1)), IntSeries((0, 2)))
         assert not report.passed and report.first_mismatch == (1, 1, 2)
 
+    @pytest.mark.parametrize(
+        "coeffs, line",
+        [
+            # A negative coefficient is measured against 0, from n = 1 on.
+            ((7, -1, 0, 1), "monotonicity t=2 order=3: FAIL at n=1: got -1, expected 0"),
+            # A drop is measured against the previous coefficient.
+            ((0, 0, 5, 3), "monotonicity t=2 order=3: FAIL at n=3: got 3, expected 5"),
+        ],
+    )
+    def test_reports_a_planted_defect_series(self, monkeypatch, coeffs, line):
+        monkeypatch.setattr(genfun, "defect_series", lambda t, order: IntSeries(coeffs))
+        report = monotonicity_check(2, 3)
+        assert report.describe() == line
+        assert report.status == "fail" and not report.passed
+
 
 class TestTelescoping:
     @pytest.mark.parametrize("t", [2, 3])
@@ -421,21 +436,22 @@ class TestRegularPartitionBrute:
 
 class TestVerificationReport:
     def test_status_must_match_mismatch(self):
-        with pytest.raises(ValueError):
-            VerificationReport("x", 2, None, 10, "pass", (3, 1, 2))
-        with pytest.raises(ValueError):
-            VerificationReport("x", 2, None, 10, "fail", None)
-        with pytest.raises(ValueError):
-            VerificationReport("x", 2, None, 10, "maybe", None)
+        # status and passed are read off first_mismatch; neither is stored.
+        good = VerificationReport("x", 2, None, 10, None)
+        bad = VerificationReport("x", 2, None, 10, (3, 1, 2))
+        assert (good.status, good.passed) == ("pass", True)
+        assert (bad.status, bad.passed) == ("fail", False)
+        with pytest.raises(TypeError):
+            VerificationReport("x", 2, None, 10, "pass", None)
 
     def test_describe_lines(self):
-        good = VerificationReport("demo", 2, 1, 30, "pass", None)
-        bad = VerificationReport("demo", 2, None, 30, "fail", (6, 2, 0))
+        good = VerificationReport("demo", 2, 1, 30, None)
+        bad = VerificationReport("demo", 2, None, 30, (6, 2, 0))
         assert good.describe() == "demo t=2 j=1 order=30: PASS"
         assert bad.describe() == "demo t=2 order=30: FAIL at n=6: got 2, expected 0"
 
     def test_json_uses_decimal_strings(self):
-        report = VerificationReport("demo", 2, None, 30, "fail", (6, 10**30, 0))
+        report = VerificationReport("demo", 2, None, 30, (6, 10**30, 0))
         payload = report.to_json_dict()
         assert payload["first_mismatch"]["closed_value"] == str(10**30)
         assert payload["status"] == "fail"

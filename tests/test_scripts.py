@@ -1,0 +1,35 @@
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+from coretower import defect_samples, samples_to_csv
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *argv):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *argv], capture_output=True, text=True
+    )
+
+
+def test_verify_identities_output_is_pinned():
+    # Exit 1 with one FAIL line per t = 2..7: the vanishing-at-multiples
+    # congruence is false (README "Known false congruence").
+    proc = run_script("verify_identities.py")
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout.count("FAIL") == 6
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "f745d1e22a71bb263826c9992d56c802267aebd456cb32bfaf4fc2b4e662385f"
+    )
+
+
+def test_defect_trend_prints_one_table_per_modulus():
+    proc = run_script("defect_trend.py", "--t", "2,3", "--samples", "10,20", "--dps", "20")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "".join(
+        f"# t={t}\n" + samples_to_csv(defect_samples(t, [10, 20], dps=20))
+        for t in (2, 3)
+    )

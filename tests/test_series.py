@@ -1,4 +1,5 @@
 import json
+import sys
 from math import comb
 
 import pytest
@@ -64,6 +65,25 @@ class TestRingBasics:
     def test_rejects_empty_coefficients(self):
         with pytest.raises(ValueError):
             IntSeries(())
+
+    @pytest.mark.parametrize(
+        "coeffs, names",
+        [((0.5, 1.0), "float"), ((1, 2.0), "float"), ((1, True), "bool"), (("1",), "str")],
+    )
+    def test_rejects_coefficients_that_are_not_int(self, coeffs, names):
+        with pytest.raises(TypeError, match=f"series coefficients must be int, got {names}"):
+            IntSeries(coeffs)
+
+    def test_repr_shows_coefficients_past_the_str_digit_limit(self):
+        # 3**10000 has 4772 decimal digits, past the default 4300-digit limit.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            shown = repr(IntSeries((3**10000, 2)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert shown == f"IntSeries(N=1, [<{(3**10000).bit_length()}-bit int>, 2])"
+        assert repr(IntSeries((1, -2))) == "IntSeries(N=1, [1, -2])"
 
     def test_mul_by_one_is_identity(self):
         f = IntSeries((3, -1, 4, 1, -5))
