@@ -2,7 +2,9 @@
 """Tabulate how fast average defects approach n/(t-1).
 
 Prints a CSV table of exact total defects against both predictions for a
-ladder of sizes; the ratio column should creep toward 1 as n grows.
+ladder of sizes; the ratio column should creep toward 1 as n grows.  Each
+table is `coretower asympt defect` for one modulus, so bad input exits 2
+with the CLI's one-line error.
 
 Usage:
   python scripts/defect_trend.py [--t 2,3,5] [--samples 100,200,400] [--dps 50]
@@ -14,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from coretower import defect_samples, samples_to_csv  # noqa: E402
+from coretower.cli import main as coretower  # noqa: E402
 
 
 def main() -> int:
@@ -22,15 +24,15 @@ def main() -> int:
     parser.add_argument("--t", default="2,3,5", help="comma-separated moduli")
     parser.add_argument("--samples", default="100,200,400",
                         help="comma-separated sizes")
-    parser.add_argument("--dps", type=int, default=50,
-                        help="working decimal digits")
+    parser.add_argument("--dps", default="50", help="working decimal digits")
     args = parser.parse_args()
 
-    moduli = [int(x) for x in args.t.split(",")]
-    sizes = [int(x) for x in args.samples.split(",")]
-    for t in moduli:
+    for t in args.t.split(","):
         print(f"# t={t}")
-        sys.stdout.write(samples_to_csv(defect_samples(t, sizes, dps=args.dps)))
+        code = coretower(["asympt", "defect", "--t", t, "--samples", args.samples,
+                          "--precision", args.dps])
+        if code:
+            return code
     return 0
 
 

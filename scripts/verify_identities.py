@@ -4,7 +4,8 @@
 Usage:
   python scripts/verify_identities.py [--order 30] [--congruence-order 200]
 
-Exits 1 if any check fails.  Note that the vanishing-at-multiples
+Exits 1 if any check fails, and 2 with a one-line error on bad input
+such as a negative order.  Note that the vanishing-at-multiples
 congruence check reports a genuine counterexample (t=2, n=6), so a
 nonzero exit is the expected, honest outcome; see the README section
 "Known false congruence".
@@ -68,4 +69,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)

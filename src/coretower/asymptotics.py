@@ -10,13 +10,13 @@ enough to be interesting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import count
 from typing import NamedTuple, Sequence
 
 from mpmath import mp
 
-from .genfun import defect_series
+from .genfun import _check_params, defect_series
 from .partitions import partition_count
 from .series import divisor_sum
 
@@ -85,17 +85,13 @@ class DefectPrediction(NamedTuple):
 def defect_predict(t: int, n: int, dps: int = DEFAULT_DPS) -> DefectPrediction:
     """Two predictions for the total defect over partitions of n.
 
-    main_term is sqrt(3)/(12 (t-1)) * exp(pi sqrt(2n/3)); np_form is
-    n*p(n)/(t-1) with the exact partition count.  The two agree to leading
-    order.
+    main_term is n/(t-1) times the Hardy-Ramanujan estimate for p(n), that
+    is sqrt(3)/(12 (t-1)) * exp(pi sqrt(2n/3)); np_form is n*p(n)/(t-1) with
+    the exact partition count.  The two agree to leading order.
     """
-    if t < 2:
-        raise ValueError("modulus t must be at least 2")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_params(t)
     with mp.workdps(dps):
-        nn = mp.mpf(n)
-        main = mp.sqrt(3) / (12 * (t - 1)) * mp.exp(mp.pi * mp.sqrt(2 * nn / 3))
+        main = n * hardy_ramanujan_estimate(n, dps) / (t - 1)
         np_form = mp.mpf(n * partition_count(n)) / (t - 1)
         return DefectPrediction(+main, +np_form)
 
@@ -224,6 +220,11 @@ class AsymptoticSample:
     predicted_np_over_t1: object
     ratio: object
 
+    def columns(self) -> dict:
+        """Fields by name as shown: n, exact in decimal, the floats to 15 digits."""
+        floats = {f.name: mp.nstr(getattr(self, f.name), 15) for f in fields(self)[2:]}
+        return {"n": self.n, "exact": str(self.exact), **floats}
+
 
 def defect_samples(
     t: int, ns: Sequence[int], dps: int = DEFAULT_DPS
@@ -253,13 +254,9 @@ def defect_samples(
     return samples
 
 
-def samples_to_csv(samples: Sequence[AsymptoticSample], digits: int = 15) -> str:
-    """CSV table with columns n, exact, predicted_main_term,
-    predicted_np_over_t1, ratio."""
-    lines = ["n,exact,predicted_main_term,predicted_np_over_t1,ratio"]
-    for s in samples:
-        lines.append(
-            f"{s.n},{s.exact},{mp.nstr(s.predicted_main_term, digits)},"
-            f"{mp.nstr(s.predicted_np_over_t1, digits)},{mp.nstr(s.ratio, digits)}"
-        )
+def samples_to_csv(samples: Sequence[AsymptoticSample]) -> str:
+    """CSV table with one column per AsymptoticSample field, in field order,
+    each as AsymptoticSample.columns shows it."""
+    lines = [",".join(f.name for f in fields(AsymptoticSample))]
+    lines += (",".join(map(str, s.columns().values())) for s in samples)
     return "\n".join(lines) + "\n"

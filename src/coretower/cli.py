@@ -187,18 +187,8 @@ def _precision(args) -> int:
 def _cmd_asympt_defect(args) -> int:
     ns = _parse_ints(args.samples, f"bad sample list {args.samples!r}")
     samples = asymptotics.defect_samples(args.t, ns, dps=_precision(args))
-    payload = [
-        {
-            "n": s.n,
-            "exact": str(s.exact),
-            "predicted_main_term": mp.nstr(s.predicted_main_term, 15),
-            "predicted_np_over_t1": mp.nstr(s.predicted_np_over_t1, 15),
-            "ratio": mp.nstr(s.ratio, 15),
-        }
-        for s in samples
-    ]
     # Plain output is the csv table.
-    _emit(args, payload, asymptotics.samples_to_csv(samples))
+    _emit(args, [s.columns() for s in samples], asymptotics.samples_to_csv(samples))
     return 0
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Iterable
 from .partitions import Partition, _decode, _words, partition_count
 from .series import (
     IntSeries,
+    _shown,
     divisor_sum_series,
     euler_product,
     div,
@@ -62,7 +63,7 @@ class VerificationReport:
         line = " ".join(bits)
         if self.passed:
             return f"{line}: PASS"
-        n, closed_value, brute_value = self.first_mismatch
+        n, closed_value, brute_value = map(_shown, self.first_mismatch)
         return f"{line}: FAIL at n={n}: got {closed_value}, expected {brute_value}"
 
     def to_json_dict(self) -> dict:
@@ -298,16 +299,13 @@ def monotonicity_check(t: int, order: int) -> VerificationReport:
     which is 0 for the sign check and the previous coefficient otherwise.
     """
     _check_params(t, order=order)
-    coeffs = defect_series(t, order).coeffs
-    mismatch = None
-    for n in range(1, order + 1):
-        if coeffs[n] < 0:
-            mismatch = (n, coeffs[n], 0)
-            break
-        if n >= 2 and coeffs[n] < coeffs[n - 1]:
-            mismatch = (n, coeffs[n], coeffs[n - 1])
-            break
-    return VerificationReport("monotonicity", t, None, order, mismatch)
+    c = defect_series(t, order).coeffs
+    # A coefficient that holds is its own bound.
+    bounds = (
+        (n, c[n], 0 if c[n] < 0 else max(c[n], c[n - 1] if n > 1 else 0))
+        for n in range(1, order + 1)
+    )
+    return VerificationReport("monotonicity", t, None, order, _first(bounds))
 
 
 def telescoped_row_weight_check(t: int, j: int, order: int) -> VerificationReport:

@@ -67,7 +67,7 @@ class TestDefectPrediction:
         assert pred.main_term > 0 and pred.np_form > 0
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="modulus t must be at least 2, got 1"):
             defect_predict(1, 10)
         with pytest.raises(ValueError):
             defect_predict(2, 0)

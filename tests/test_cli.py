@@ -297,13 +297,16 @@ class TestVerifyCommand:
 
 class TestAsymptCommand:
     def test_defect_csv(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "asympt", "defect", "--t", "2", "--samples", "10,20"
-        )
+        argv = ("asympt", "defect", "--t", "2", "--samples", "10,20")
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "n,exact,predicted_main_term,predicted_np_over_t1,ratio"
-        assert len(lines) == 3
+        assert out == (
+            "n,exact,predicted_main_term,predicted_np_over_t1,ratio\n"
+            "10,274,481.043088172208,420.0,0.652380952380952\n"
+            "20,8940,13847.69281019,12540.0,0.712918660287081\n"
+        )
+        # Plain output is the csv table.
+        assert run_cli(capsys, *argv, "--format", "csv") == (0, out, "")
 
     def test_transform_residual(self, capsys):
         code, out, _ = run_cli(

@@ -404,6 +404,8 @@ class TestMonotonicity:
             ((7, -1, 0, 1), "monotonicity t=2 order=3: FAIL at n=1: got -1, expected 0"),
             # A drop is measured against the previous coefficient.
             ((0, 0, 5, 3), "monotonicity t=2 order=3: FAIL at n=3: got 3, expected 5"),
+            # A negative coefficient that also drops fails the sign check.
+            ((0, 5, -1, 7), "monotonicity t=2 order=3: FAIL at n=2: got -1, expected 0"),
         ],
     )
     def test_reports_a_planted_defect_series(self, monkeypatch, coeffs, line):
@@ -449,6 +451,9 @@ class TestVerificationReport:
         bad = VerificationReport("demo", 2, None, 30, (6, 2, 0))
         assert good.describe() == "demo t=2 j=1 order=30: PASS"
         assert bad.describe() == "demo t=2 order=30: FAIL at n=6: got 2, expected 0"
+        # 3**10000 has 4772 decimal digits, past str()'s default limit.
+        huge = VerificationReport("demo", None, None, 1, (1, 3**10000, 0))
+        assert huge.describe() == "demo order=1: FAIL at n=1: got <15850-bit int>, expected 0"
 
     def test_json_uses_decimal_strings(self):
         report = VerificationReport("demo", 2, None, 30, (6, 10**30, 0))

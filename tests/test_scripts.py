@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from coretower import defect_samples, samples_to_csv
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -33,3 +35,19 @@ def test_defect_trend_prints_one_table_per_modulus():
         f"# t={t}\n" + samples_to_csv(defect_samples(t, [10, 20], dps=20))
         for t in (2, 3)
     )
+
+
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        ("defect_trend.py", ("--t", "x"), "argument --t: invalid int value: 'x'\n"),
+        ("defect_trend.py", ("--samples", "0"), "error: sample sizes must be at least 1\n"),
+        ("verify_identities.py", ("--order", "-1"),
+         "error: truncation order must be nonnegative\n"),
+    ],
+    ids=["defect_trend-t", "defect_trend-samples", "verify_identities-order"],
+)
+def test_bad_input_exits_two_with_one_error_line(script, argv, message):
+    proc = run_script(script, *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(message) and "Traceback" not in proc.stderr
