@@ -7,7 +7,7 @@ table is `coretower asympt defect` for one modulus, so bad input exits 2
 with the CLI's one-line error.
 
 Usage:
-  python scripts/defect_trend.py [--t 2,3,5] [--samples 100,200,400] [--dps 50]
+  python scripts/defect_trend.py [--t 2,3,5] [--samples 100,200,400] [--dps N]
 """
 
 import argparse
@@ -24,13 +24,15 @@ def main() -> int:
     parser.add_argument("--t", default="2,3,5", help="comma-separated moduli")
     parser.add_argument("--samples", default="100,200,400",
                         help="comma-separated sizes")
-    parser.add_argument("--dps", default="50", help="working decimal digits")
+    parser.add_argument("--dps", help="working decimal digits "
+                        "(default: the CLI's --precision default)")
     args = parser.parse_args()
+    precision = [] if args.dps is None else ["--precision", args.dps]
 
     for t in args.t.split(","):
         print(f"# t={t}")
         code = coretower(["asympt", "defect", "--t", t, "--samples", args.samples,
-                          "--precision", args.dps])
+                          *precision])
         if code:
             return code
     return 0

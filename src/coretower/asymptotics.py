@@ -3,9 +3,9 @@
 Everything exact stays exact: integers taken from the series modules are
 carried verbatim into the samples, and floats only ever appear in
 predictions, ratios, and residuals.  All evaluations run under mpmath at
-a configurable number of decimal digits (default 50), since the growth
-factors exp(pi**2 / (6 eps)) overflow doubles long before eps is small
-enough to be interesting.
+a configurable number of decimal digits (default DEFAULT_DPS), since the
+growth factors exp(pi**2 / (6 eps)) overflow doubles long before eps is
+small enough to be interesting.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from mpmath import mp
 
 from .genfun import _check_params, defect_series
 from .partitions import partition_count
-from .series import divisor_sum
 
 DEFAULT_DPS = 50
+SHOWN_DIGITS = 15  # significant digits of each float a defect sample shows
 
 _MAX_LAMBERT_TERMS = 50_000
 
@@ -97,7 +97,8 @@ def defect_predict(t: int, n: int, dps: int = DEFAULT_DPS) -> DefectPrediction:
 
 
 def _lambert_sum(m: int, eps, tol):
-    """sum_n n x**n / (1 - x**n) at x = exp(-m eps), to relative accuracy tol.
+    """sum_n n x**n / (1 - x**n) = sum_n sigma_1(n) x**n at x = exp(-m eps),
+    to relative accuracy tol.
 
     Split at n = d by Dirichlet's hyperbola method, the double sum
     sum_{n,d} n x**(n d) is sum_k x**(k**2) [k / (1 - x**k)
@@ -122,17 +123,18 @@ def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
     """Relative gap between two evaluations of sum_n sigma_1(n) q**(m n)
     at q = e**-eps.
 
-    The left side sums the Lambert series by _lambert_sum.  The right side uses
-    the weight-two Eisenstein inversion
+    The left side is _lambert_sum at m eps.  The right side uses the
+    weight-two Eisenstein inversion
 
         1/24 + pi**2/(6 m**2 eps**2) * (1 - 24 sum sigma_1(n) e**(-4 pi**2 n/(eps m)))
             - 1/(2 m eps),
 
-    whose dual sum converges extremely fast.  The identity is exact, so
-    the residual only measures summation and rounding error.  The left
-    side needs about sqrt((dps + 10) ln(10) / (m eps)) terms; past
-    _MAX_LAMBERT_TERMS this raises ValueError instead of summing.  So does
-    m eps > 15 ln(10), where the right side cancels past the guard digits.
+    whose dual sum is _lambert_sum at 4 pi**2/(m eps), to the same relative
+    accuracy.  The identity is exact, so the residual only measures
+    summation and rounding error.  The left side needs about
+    sqrt((dps + 10) ln(10) / (m eps)) terms; past _MAX_LAMBERT_TERMS this
+    raises ValueError instead of summing.  So does m eps > 15 ln(10), where
+    the right side cancels past the guard digits.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -159,19 +161,7 @@ def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
             )
         tol = mp.mpf(10) ** (-(dps + 10))
         lhs = _lambert_sum(m, e, tol)
-
-        y = mp.exp(-4 * mp.pi**2 / (e * m))
-        dual = mp.mpf(0)
-        yn = y
-        n = 1
-        while True:
-            term = divisor_sum(n) * yn
-            dual += term
-            if term < tol:
-                break
-            yn *= y
-            n += 1
-
+        dual = _lambert_sum(1, 4 * mp.pi**2 / (m * e), tol)
         rhs = (
             mp.mpf(1) / 24
             + mp.pi**2 / (6 * m**2 * e**2) * (1 - 24 * dual)
@@ -221,8 +211,9 @@ class AsymptoticSample:
     ratio: object
 
     def columns(self) -> dict:
-        """Fields by name as shown: n, exact in decimal, the floats to 15 digits."""
-        floats = {f.name: mp.nstr(getattr(self, f.name), 15) for f in fields(self)[2:]}
+        """Fields by name as shown: n, exact in decimal, the floats to SHOWN_DIGITS."""
+        shown = (f.name for f in fields(self)[2:])
+        floats = {name: mp.nstr(getattr(self, name), SHOWN_DIGITS) for name in shown}
         return {"n": self.n, "exact": str(self.exact), **floats}
 
 
@@ -242,15 +233,7 @@ def defect_samples(
         prediction = defect_predict(t, n, dps=dps)
         with mp.workdps(dps):
             ratio = +(mp.mpf(exact) / prediction.np_form)
-        samples.append(
-            AsymptoticSample(
-                n=n,
-                exact=exact,
-                predicted_main_term=prediction.main_term,
-                predicted_np_over_t1=prediction.np_form,
-                ratio=ratio,
-            )
-        )
+        samples.append(AsymptoticSample(n, exact, *prediction, ratio))
     return samples
 
 

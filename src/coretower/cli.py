@@ -24,6 +24,8 @@ from .partitions import Partition, make_partition
 from .tower import _defect, core_tower, t_core, t_quotient
 
 PRECISION_ENV = "CORETOWER_PRECISION"
+# A defect sample's shown digits plus five guard digits; with fewer, some go wrong.
+MIN_PRECISION = asymptotics.SHOWN_DIGITS + 5
 
 _INTS = re.compile("[0-9]+(?:,[0-9]+)*")
 
@@ -171,16 +173,17 @@ def _cmd_verify(args) -> int:
 
 
 def _precision(args) -> int:
-    """--precision, else $CORETOWER_PRECISION, else 50; at least 1."""
+    """--precision, else $CORETOWER_PRECISION, else asymptotics.DEFAULT_DPS;
+    at least MIN_PRECISION."""
     precision = args.precision
     if precision is None:
-        raw = os.environ.get(PRECISION_ENV, "50")
+        raw = os.environ.get(PRECISION_ENV, str(asymptotics.DEFAULT_DPS))
         try:
             precision = int(raw)
         except ValueError:
             raise ValueError(f"${PRECISION_ENV} must be an integer, got {raw!r}")
-    if precision < 1:
-        raise ValueError(f"precision must be at least 1, got {precision}")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be at least {MIN_PRECISION}, got {precision}")
     return precision
 
 
@@ -196,7 +199,9 @@ def _cmd_asympt_transform(args) -> int:
     residual = asymptotics.eisenstein_transform_residual(
         args.m, args.eps, dps=_precision(args)
     )
-    shown = mp.nstr(residual, 12)
+    # nstr of a mantissa past 4300 digits would exceed Python's int-str limit.
+    with mp.workdps(100):
+        shown = mp.nstr(+residual, 12)
     payload = {"m": args.m, "eps": args.eps, "residual": shown}
     _emit(args, payload, f"residual {shown}\n")
     return 0
@@ -223,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=None,
-        help=f"working decimal digits for float evaluations "
-        f"(default 50, override with ${PRECISION_ENV})",
+        help=f"working decimal digits for float evaluations, at least {MIN_PRECISION} "
+        f"(default {asymptotics.DEFAULT_DPS}, override with ${PRECISION_ENV})",
     )
 
     for name, handler, blurb in (

@@ -144,6 +144,13 @@ class TestEisensteinTransform:
         fine = eisenstein_transform_residual(1, "0.1", dps=50)
         assert fine <= coarse
 
+    # Near the eps guard the right side cancels to about e**(-m eps), so a
+    # dual sum cut at an absolute tolerance would show in the residual.
+    @pytest.mark.parametrize("dps", [20, 50])
+    @pytest.mark.parametrize("m, eps", [(34, "1"), (100, "0.316228"), (50, "0.630957")])
+    def test_residual_below_working_precision_near_the_eps_guard(self, m, eps, dps):
+        assert eisenstein_transform_residual(m, eps, dps=dps) < mp.mpf(10) ** -dps
+
     def test_large_m_small_eps_corner(self):
         assert eisenstein_transform_residual(4, "0.5", dps=50) < mp.mpf("1e-40")
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from mpmath import mp
 
 import dense_tower
 from coretower import EMPTY, Partition, cli
@@ -326,6 +327,31 @@ class TestAsymptCommand:
         assert payload["m"] == 2 and payload["eps"] == "0.5"
         assert float(payload["residual"]) < 1e-8
 
+    def test_transform_shows_a_residual_past_the_int_str_digit_limit(
+        self, capsys, monkeypatch
+    ):
+        # A 4400-digit mantissa is past Python's 4300-digit int-to-str limit.
+        with mp.workdps(4400):
+            residual = +(mp.pi * mp.mpf(10) ** -4410)
+        monkeypatch.setattr(
+            cli.asymptotics, "eisenstein_transform_residual", lambda *a, **k: residual
+        )
+        argv = ("asympt", "transform", "--m", "1", "--eps", "0.1", "--precision", "4400")
+        assert run_cli(capsys, *argv) == (0, "residual 3.14159265359e-4410\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("defect", "--t", "2", "--samples", "10"), ("transform", "--m", "1", "--eps", "0.1")],
+    )
+    def test_precision_floor_holds_for_the_flag_and_the_environment(
+        self, capsys, monkeypatch, argv
+    ):
+        assert run_cli(capsys, "asympt", *argv, "--precision", "20")[0] == 0
+        monkeypatch.setenv(cli.PRECISION_ENV, "19")
+        assert run_cli(capsys, "asympt", *argv) == (
+            2, "", "error: precision must be at least 20, got 19\n"
+        )
+
 
 class TestJsonOutputs:
     """The exact --format json output of each command that has one; every
@@ -520,6 +546,10 @@ class TestUsageErrors:
             (("tower", "--t", "100000000", "1"), "modulus t must be at most"),
             (("series", "T", "--j", "0", "--t", "100000000", "--order", "3",
               "--mode", "brute"), "modulus t must be at most"),
+            (("asympt", "defect", "--t", "2", "--samples", "100", "--precision", "3"),
+             "precision must be at least 20, got 3"),
+            (("asympt", "transform", "--m", "1", "--eps", "0.1", "--precision", "19"),
+             "precision must be at least 20, got 19"),
         ],
     )
     def test_out_of_range_settings(self, capsys, argv, flag):
@@ -543,6 +573,8 @@ class TestUsageErrors:
              (cli.genfun, "monotonicity_check"), "verification reports"),
             (("asympt", "transform", "--m", "1", "--eps", "0.0003"),
              (cli.asymptotics, "eisenstein_transform_residual"), "transform output"),
+            (("series", "T", "--j", "0", "--t", "2", "--order", "20", "--mode", "both"),
+             (cli.genfun, "compare_series"), "verification reports"),
         ],
     )
     def test_csv_is_refused_before_any_work(self, capsys, monkeypatch, argv, target, where):

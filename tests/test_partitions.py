@@ -35,6 +35,10 @@ class TestMakePartition:
         assert lam.parts == (5, 4, 2, 2, 1)
         assert lam.size == 14
 
+    def test_iterates_over_its_parts(self):
+        assert list(make_partition([5, 4, 2, 2, 1])) == [5, 4, 2, 2, 1]
+        assert list(EMPTY) == []
+
     def test_empty(self):
         assert make_partition([]) == EMPTY
         assert EMPTY.size == 0

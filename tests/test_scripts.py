@@ -37,15 +37,23 @@ def test_defect_trend_prints_one_table_per_modulus():
     )
 
 
+def test_defect_trend_without_dps_uses_the_cli_default_precision():
+    proc = run_script("defect_trend.py", "--t", "2", "--samples", "10,20")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "# t=2\n" + samples_to_csv(defect_samples(2, [10, 20]))
+
+
 @pytest.mark.parametrize(
     "script, argv, message",
     [
         ("defect_trend.py", ("--t", "x"), "argument --t: invalid int value: 'x'\n"),
         ("defect_trend.py", ("--samples", "0"), "error: sample sizes must be at least 1\n"),
+        ("defect_trend.py", ("--dps", "3"), "error: precision must be at least 20, got 3\n"),
         ("verify_identities.py", ("--order", "-1"),
          "error: truncation order must be nonnegative\n"),
     ],
-    ids=["defect_trend-t", "defect_trend-samples", "verify_identities-order"],
+    ids=["defect_trend-t", "defect_trend-samples", "defect_trend-dps",
+         "verify_identities-order"],
 )
 def test_bad_input_exits_two_with_one_error_line(script, argv, message):
     proc = run_script(script, *argv)

@@ -14,12 +14,14 @@ from coretower import (
     divisor_sum_series,
     enumerate_partitions,
     euler_product,
+    make_partition,
     mul,
     negate,
     partition_count,
     partition_series,
     pochhammer_inf,
     q_derivative,
+    row_size,
     series_one,
     series_zero,
     substitute_power,
@@ -102,6 +104,22 @@ class TestRingBasics:
             mul(series_one(3), series_zero(5))
         with pytest.raises(OrderMismatchError):
             div(series_one(3), series_one(2))
+
+    def test_negation_and_subtraction(self):
+        f, g = IntSeries((3, -1, 4)), IntSeries((1, 5, -9))
+        assert -f == IntSeries((-3, 1, -4))
+        assert f - g == IntSeries((2, -6, 13))
+        assert f - f == series_zero(2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [series_zero, series_one, divisor_sum_series, lambda order: pochhammer_inf(1, 1, order),
+         lambda j: row_size(make_partition([3, 1]), 2, j)],
+        ids=["series_zero", "series_one", "divisor_sum_series", "pochhammer_inf", "row_size"],
+    )
+    def test_negative_order_or_row_is_refused(self, build):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            build(-1)
 
     def test_indexing_stays_within_the_truncation(self):
         f = series_one(3)
