@@ -4,13 +4,16 @@
 Prints a CSV table of exact total defects against both predictions for a
 ladder of sizes; the ratio column should creep toward 1 as n grows.  Each
 table is `coretower asympt defect` for one modulus, so bad input exits 2
-with the CLI's one-line error.
+with the CLI's one-line error; the tables are printed only once every
+modulus has succeeded, so a refusal leaves stdout empty.
 
 Usage:
   python scripts/defect_trend.py [--t 2,3,5] [--samples 100,200,400] [--dps N]
 """
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -29,12 +32,15 @@ def main() -> int:
     args = parser.parse_args()
     precision = [] if args.dps is None else ["--precision", args.dps]
 
+    tables = []
     for t in args.t.split(","):
-        print(f"# t={t}")
-        code = coretower(["asympt", "defect", "--t", t, "--samples", args.samples,
-                          *precision])
+        with contextlib.redirect_stdout(io.StringIO()) as table:
+            code = coretower(["asympt", "defect", "--t", t, "--samples", args.samples,
+                              *precision])
         if code:
             return code
+        tables.append(f"# t={t}\n{table.getvalue()}")
+    print(*tables, sep="", end="")
     return 0
 
 

@@ -1,9 +1,9 @@
 """Command-line surface: cores, quotients, towers, series, verification.
 
 Exit codes: 0 when everything checked out, 1 when a verification found a
-mismatch, 2 on usage errors.  Output is deterministic; with --format json
-the stdout payload is a single JSON document whose big integers are
-decimal strings.
+mismatch, 2 on usage errors or when memory runs out.  Output is
+deterministic; with --format json the stdout payload is a single JSON
+document whose big integers are decimal strings.
 """
 
 from __future__ import annotations
@@ -322,6 +322,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

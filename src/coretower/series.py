@@ -167,10 +167,8 @@ def substitute_power(a: IntSeries, m: int) -> IntSeries:
         raise ValueError("substitution exponent must be at least 1")
     if m == 1:
         return a
-    n = a.truncation_order
-    out = [0] * (n + 1)
-    for i in range(n // m + 1):
-        out[i * m] = a.coeffs[i]
+    out = [0] * (a.truncation_order + 1)
+    out[::m] = a.coeffs[: a.truncation_order // m + 1]
     return IntSeries(tuple(out))
 
 
@@ -201,42 +199,25 @@ def _pentagonal_terms(order: int) -> list[tuple[int, int]]:
 def pochhammer_inf(a: int, e: int, order: int) -> IntSeries:
     """(q**a; q**a)_infinity ** e, truncated: the product of (1 - q**(a*k))**e.
 
-    No series is multiplied.  (q; q)_infinity to order N = order // a is
-    read off Euler's pentagonal number theorem (about sqrt(N) terms, each
-    +1 or -1).  For e > 1 it is raised to the e-th power by J. C. P.
-    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): g_0 = 1 and
-    n g_n = sum over the nonzero f_k of ((e + 1) k - n) f_k g_(n-k).  The
-    result is then spread to q -> q**a.  The cost is about O(N**1.5), that
-    is O(order**1.5 / a**1.5) coefficient products.
-
-    The division by n in the recurrence is exact over the integers; a
-    nonzero remainder raises ArithmeticError rather than losing precision.
+    (q; q)_infinity to order N = order // a is read off Euler's pentagonal
+    number theorem (about sqrt(N) terms, each +1 or -1), raised to the
+    e-th power by binary exponentiation with mul (at most 2 log2(e)
+    products, none for e = 1), and spread to q -> q**a.
     """
     if a < 1 or e < 1:
         raise ValueError("step and exponent must be positive")
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    n_max = order // a
-    terms = _pentagonal_terms(n_max)
-    g = [1] + [0] * n_max
-    if e == 1:
-        for k, fk in terms:
-            g[k] = fk
-    else:
-        for n in range(1, n_max + 1):
-            acc = 0
-            for k, fk in terms:
-                if k > n:
-                    break
-                acc += ((e + 1) * k - n) * fk * g[n - k]
-            quotient, remainder = divmod(acc, n)
-            if remainder:
-                raise ArithmeticError(
-                    f"Miller recurrence left remainder {remainder} at n={n}"
-                )
-            g[n] = quotient
+    eta = [1] + [0] * (order // a)
+    for k, sign in _pentagonal_terms(order // a):
+        eta[k] = sign
+    power = base = IntSeries(tuple(eta))
+    for bit in bin(e)[3:]:  # the bits of e after its leading 1
+        power = mul(power, power)
+        if bit == "1":
+            power = mul(power, base)
     out = [0] * (order + 1)
-    out[::a] = g
+    out[::a] = power.coeffs
     return IntSeries(tuple(out))
 
 

@@ -352,6 +352,17 @@ class TestAsymptCommand:
             2, "", "error: precision must be at least 20, got 19\n"
         )
 
+    def test_running_out_of_memory_exits_two_not_one(self, capsys, monkeypatch):
+        # Exit 1 is a mismatch; a failed allocation (a huge --precision in
+        # mpmath, say) is not one.  Raised here, since whether a real one
+        # fails at once depends on the host's memory overcommit.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.asymptotics, "defect_samples", out_of_memory)
+        argv = ("asympt", "defect", "--t", "2", "--samples", "10")
+        assert run_cli(capsys, *argv) == (2, "", "error: out of memory\n")
+
 
 class TestJsonOutputs:
     """The exact --format json output of each command that has one; every

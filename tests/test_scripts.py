@@ -49,13 +49,14 @@ def test_defect_trend_without_dps_uses_the_cli_default_precision():
         ("defect_trend.py", ("--t", "x"), "argument --t: invalid int value: 'x'\n"),
         ("defect_trend.py", ("--samples", "0"), "error: sample sizes must be at least 1\n"),
         ("defect_trend.py", ("--dps", "3"), "error: precision must be at least 20, got 3\n"),
+        ("defect_trend.py", ("--t", "2,x"), "argument --t: invalid int value: 'x'\n"),
         ("verify_identities.py", ("--order", "-1"),
          "error: truncation order must be nonnegative\n"),
     ],
     ids=["defect_trend-t", "defect_trend-samples", "defect_trend-dps",
-         "verify_identities-order"],
+         "defect_trend-second-t", "verify_identities-order"],
 )
 def test_bad_input_exits_two_with_one_error_line(script, argv, message):
     proc = run_script(script, *argv)
-    assert proc.returncode == 2
+    assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.endswith(message) and "Traceback" not in proc.stderr

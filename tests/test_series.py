@@ -27,6 +27,7 @@ from coretower import (
     substitute_power,
     truncate,
 )
+from coretower import series as series_module
 from coretower.series import from_json_dict, to_csv, to_json_dict
 from oracles import divisor_sum_series_lambert, mul_dense
 from strategies import small_series_coeffs
@@ -269,10 +270,26 @@ class TestProducts:
             assert pochhammer_inf(a, e, order) == product_expansion(a, e, order)
 
     @pytest.mark.parametrize(
-        "a, e", [(1, 1), (2, 2), (4, 4), (8, 8), (9, 9), (25, 25), (27, 27)]
+        "a, e",
+        [(1, 1), (2, 2), (4, 4), (8, 8), (9, 9), (25, 25), (27, 27),
+         (1, 24), (2, 31), (3, 16)],
     )
     def test_matches_the_product_expansion_at_order_800(self, a, e):
         assert pochhammer_inf(a, e, 800) == product_expansion(a, e, 800)
+
+    @pytest.mark.parametrize("a, e", [(2, 2), (3, 7), (1, 24), (2, 31), (5, 16)])
+    def test_powers_take_one_square_per_bit_and_one_product_per_one_bit(
+        self, monkeypatch, a, e
+    ):
+        calls = []
+
+        def counted_mul(x, y):
+            calls.append((x, y))
+            return mul(x, y)
+
+        monkeypatch.setattr(series_module, "mul", counted_mul)
+        pochhammer_inf.__wrapped__(a, e, 120)
+        assert len(calls) == (e.bit_length() - 1) + (e.bit_count() - 1)
 
 
 class TestDivisorSums:
