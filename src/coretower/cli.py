@@ -145,14 +145,15 @@ def _cmd_series(args) -> int:
 
     build = closed_form if args.mode == "closed" else enumerated
     result = build(args.j, args.t, order)
-    # Only the rendering asked for is built: each is a str() per coefficient.
+    # Only the rendering asked for is built: each is a str() per coefficient,
+    # all of them before the one write, so a coefficient past the str()
+    # digit limit leaves stdout empty.
     if args.format == "json":
         print(json.dumps(qs.to_json_dict(result), indent=2))
     elif args.format == "csv":
         sys.stdout.write(qs.to_csv(result))
     else:
-        for n, c in enumerate(result.coeffs):
-            print(f"{n} {c}")
+        sys.stdout.write("".join(f"{n} {c}\n" for n, c in enumerate(result.coeffs)))
     return 0
 
 

@@ -5,6 +5,12 @@ primitives and a brute-force twin obtained by enumerating all partitions
 of each size and measuring them directly.  compare_series() walks the two
 coefficient lists and reports the first mismatch, if any; the congruence,
 recursion, and monotonicity checkers produce the same report type.
+
+The two closed forms that several checkers and CLI commands of one
+process ask for again, row_weight_series and defect_series, are memoised
+on their (j, t, order) arguments for the life of the process, so each
+divides by (q;q)_inf once per arguments.  The cached IntSeries are
+frozen, so every caller can share them.
 """
 
 from __future__ import annotations
@@ -125,6 +131,7 @@ def _sigma_over_eta(order: int, weights: Iterable[tuple[int, int]]) -> IntSeries
     return div(IntSeries(tuple(num)), euler_product(order))
 
 
+@lru_cache(maxsize=None, typed=True)
 def row_weight_series(j: int, t: int, order: int) -> IntSeries:
     """Closed form for the series whose coefficient of q**n is the total
     size of tower row j over all partitions of n.
@@ -138,7 +145,7 @@ def row_weight_series(j: int, t: int, order: int) -> IntSeries:
     return _sigma_over_eta(order, ((m, m), (t * m, -t * t * m)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _census(t: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """One pass over the partitions of n for modulus t: (row sizes, count)
     for each distinct tuple of tower row sizes.
@@ -178,6 +185,7 @@ def row_weight_series_brute(j: int, t: int, order: int) -> IntSeries:
     return _enumerated(t, order, lambda n, sizes: sizes[j] if j < len(sizes) else 0)
 
 
+@lru_cache(maxsize=None, typed=True)
 def defect_series(t: int, order: int) -> IntSeries:
     """Closed form for the series of total defects of all partitions of n.
 

@@ -195,7 +195,7 @@ def _pentagonal_terms(order: int) -> list[tuple[int, int]]:
     return terms
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pochhammer_inf(a: int, e: int, order: int) -> IntSeries:
     """(q**a; q**a)_infinity ** e, truncated: the product of (1 - q**(a*k))**e.
 

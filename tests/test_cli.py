@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from mpmath import mp
 
 import dense_tower
-from coretower import EMPTY, Partition, cli
+from coretower import EMPTY, IntSeries, Partition, cli
 from coretower.cli import main
 from strategies import moduli, partitions
 
@@ -240,6 +240,26 @@ class TestSeriesCommand:
         assert code == 2
         assert "no --j" in err
 
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_a_coefficient_past_the_digit_limit_leaves_stdout_empty(
+        self, capsys, monkeypatch, fmt
+    ):
+        # 3**10000 has 4772 decimal digits, past the default 4300-digit limit;
+        # the coefficients before it must not be written either.
+        planted = lambda j, t, order: IntSeries((0, 1, 3**10000, 2))  # noqa: E731
+        monkeypatch.setitem(cli.genfun.FAMILIES, "T", (planted, planted))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run_cli(
+                capsys, "series", "T", "--j", "0", "--t", "2", "--order", "3",
+                "--format", fmt,
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_monotone_passes(self, capsys):
@@ -294,6 +314,35 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "csv" in err
+
+
+class TestClosedFormsBuiltOnce:
+    def test_each_quotient_is_divided_once_per_process(self, capsys, monkeypatch):
+        genfun = cli.genfun
+        genfun.row_weight_series.cache_clear()
+        genfun.defect_series.cache_clear()
+        divisions = []
+        div = genfun.div
+
+        def counted_div(a, b):
+            divisions.append(a.truncation_order)
+            return div(a, b)
+
+        monkeypatch.setattr(genfun, "div", counted_div)
+        # (argv, divisions so far): congruence divides for T_0 once for both
+        # of its reports, recursion only for the regular series (not
+        # cached: nothing else asks for it), monotone for D, and the series
+        # commands reuse T_0 and D.
+        steps = [
+            (("verify", "congruence", "--t", "3", "--order", "60"), 1),
+            (("verify", "recursion", "--t", "3", "--order", "60"), 2),
+            (("verify", "monotone", "--t", "3", "--order", "60"), 3),
+            (("series", "D", "--t", "3", "--order", "60"), 3),
+            (("series", "T", "--j", "0", "--t", "3", "--order", "60"), 3),
+        ]
+        for argv, total in steps:
+            run_cli(capsys, *argv)
+            assert len(divisions) == total, argv
 
 
 class TestAsymptCommand:

@@ -436,6 +436,41 @@ class TestRegularPartitionBrute:
             )
 
 
+class TestClosedFormCaches:
+    GRID = [(j, t, order) for j in (0, 1, 2) for t in (2, 3, 5) for order in (0, 1, 7, 40)]
+
+    def test_each_cached_form_equals_its_recomputation(self):
+        for j, t, order in self.GRID:
+            for fn, args in (
+                (row_weight_series, (j, t, order)),
+                (defect_series, (t, order)),
+            ):
+                assert fn(*args) == fn.__wrapped__(*args), (fn.__name__, args)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (row_weight_series, (0, 1, 5)),
+            (row_weight_series, (-1, 2, 5)),
+            (row_weight_series, (0, 2, -1)),
+            (defect_series, (1, 5)),
+            (defect_series, (2, -1)),
+        ],
+    )
+    def test_bad_arguments_are_refused_on_every_call(self, fn, args):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                fn(*args)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_a_float_modulus_is_refused_cached_or_not(self, warm):
+        row_weight_series.cache_clear()
+        if warm:
+            row_weight_series(0, 2, 10)
+        with pytest.raises(TypeError):
+            row_weight_series(0, 2.0, 10)
+
+
 class TestVerificationReport:
     def test_status_must_match_mismatch(self):
         # status and passed are read off first_mismatch; neither is stored.

@@ -292,6 +292,18 @@ class TestProducts:
         assert len(calls) == (e.bit_length() - 1) + (e.bit_count() - 1)
 
 
+class TestCaches:
+    # (2.0, 1, 10) == (2, 1, 10) and both hash alike, so an untyped cache
+    # would answer the float call from the int call's entry.
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_a_float_step_is_refused_cached_or_not(self, warm):
+        pochhammer_inf.cache_clear()
+        if warm:
+            pochhammer_inf(2, 1, 10)
+        with pytest.raises(TypeError):
+            pochhammer_inf(2.0, 1, 10)
+
+
 class TestDivisorSums:
     def test_first_values(self):
         assert divisor_sum_series(6).coeffs == (0, 1, 3, 4, 7, 6, 12)
