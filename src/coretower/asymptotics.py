@@ -22,7 +22,8 @@ from .partitions import partition_count
 DEFAULT_DPS = 50
 SHOWN_DIGITS = 15  # significant digits of each float a defect sample shows
 
-_MAX_LAMBERT_TERMS = 50_000
+# The most terms a Lambert sum or the eta product may take; past it they refuse.
+_MAX_TERMS = 50_000
 
 
 def ingham_predict(growth_a, power_alpha, scale_ell, n: int, dps: int = DEFAULT_DPS):
@@ -132,7 +133,7 @@ def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
     whose dual sum is _lambert_sum at 4 pi**2/(m eps), to the same relative
     accuracy.  The identity is exact, so the residual only measures
     summation and rounding error.  The left side needs about
-    sqrt((dps + 10) ln(10) / (m eps)) terms; past _MAX_LAMBERT_TERMS this
+    sqrt((dps + 10) ln(10) / (m eps)) terms; past _MAX_TERMS this
     raises ValueError instead of summing.  So does m eps > 15 ln(10), where
     the right side cancels past the guard digits.
     """
@@ -153,11 +154,11 @@ def eisenstein_transform_residual(m: int, eps, dps: int = DEFAULT_DPS):
                 f"{mp.nstr(mp.floor(most / scale) * scale, 3)})"
             )
         terms = mp.sqrt((dps + 10) * mp.log(10) / (m * e))
-        if terms > _MAX_LAMBERT_TERMS:
-            least = mp.nstr(e * (terms / _MAX_LAMBERT_TERMS) ** 2, 3)
+        if terms > _MAX_TERMS:
+            least = mp.nstr(e * (terms / _MAX_TERMS) ** 2, 3)
             raise ValueError(
                 f"eps {eps} is too small for m={m} at {dps} digits: the Lambert sum "
-                f"would need over {_MAX_LAMBERT_TERMS} terms (eps must be >= {least})"
+                f"would need over {_MAX_TERMS} terms (eps must be >= {least})"
             )
         tol = mp.mpf(10) ** (-(dps + 10))
         lhs = _lambert_sum(m, e, tol)
@@ -176,12 +177,20 @@ def eta_growth_ratio(eps, dps: int = DEFAULT_DPS):
     """Ratio of 1/(e**-eps; e**-eps)_inf to sqrt(eps/(2 pi)) e**(pi**2/(6 eps)).
 
     Tends to 1 from below as eps -> 0+; the gap behaves like eps/24.
-    Evaluated in log space so tiny eps cannot overflow.
+    Evaluated in log space so tiny eps cannot overflow.  The product needs
+    about (dps + 12) ln(10) / eps factors; past _MAX_TERMS this raises
+    ValueError instead of multiplying.
     """
     with mp.workdps(dps + 15):
         e = mp.mpf(eps)
         if e <= 0:
             raise ValueError("eps must be positive")
+        least = (dps + 12) * mp.log(10) / _MAX_TERMS
+        if e < least:
+            raise ValueError(
+                f"eps {eps} is too small at {dps} digits: the product would need "
+                f"over {_MAX_TERMS} factors (eps must be >= {mp.nstr(least, 3)})"
+            )
         tiny = mp.mpf(10) ** (-(dps + 12))
         x = mp.exp(-e)
         log_lhs = mp.mpf(0)

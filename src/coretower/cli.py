@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from functools import cache
@@ -23,7 +22,6 @@ from . import series as qs
 from .partitions import Partition, make_partition
 from .tower import _defect, core_tower, t_core, t_quotient
 
-PRECISION_ENV = "CORETOWER_PRECISION"
 # A defect sample's shown digits plus five guard digits; with fewer, some go wrong.
 MIN_PRECISION = asymptotics.SHOWN_DIGITS + 5
 
@@ -174,15 +172,8 @@ def _cmd_verify(args) -> int:
 
 
 def _precision(args) -> int:
-    """--precision, else $CORETOWER_PRECISION, else asymptotics.DEFAULT_DPS;
-    at least MIN_PRECISION."""
+    """--precision (default asymptotics.DEFAULT_DPS), at least MIN_PRECISION."""
     precision = args.precision
-    if precision is None:
-        raw = os.environ.get(PRECISION_ENV, str(asymptotics.DEFAULT_DPS))
-        try:
-            precision = int(raw)
-        except ValueError:
-            raise ValueError(f"${PRECISION_ENV} must be an integer, got {raw!r}")
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION}, got {precision}")
     return precision
@@ -228,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     precision.add_argument(
         "--precision",
         type=int,
-        default=None,
+        default=asymptotics.DEFAULT_DPS,
         help=f"working decimal digits for float evaluations, at least {MIN_PRECISION} "
-        f"(default {asymptotics.DEFAULT_DPS}, override with ${PRECISION_ENV})",
+        f"(default {asymptotics.DEFAULT_DPS})",
     )
 
     for name, handler, blurb in (

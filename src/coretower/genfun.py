@@ -24,6 +24,7 @@ from typing import Callable, Iterable
 from .partitions import Partition, _decode, _words, partition_count
 from .series import (
     IntSeries,
+    _require_same_order,
     _shown,
     divisor_sum_series,
     euler_product,
@@ -104,10 +105,9 @@ def compare_series(
     j: int | None = None,
 ) -> VerificationReport:
     """Coefficientwise comparison of two series of equal truncation order."""
-    if closed.truncation_order != brute.truncation_order:
-        raise ValueError("compared series must have equal truncation orders")
+    order = _require_same_order(closed, brute)
     mismatch = _first(zip(count(), closed.coeffs, brute.coeffs))
-    return VerificationReport(identity_name, t, j, closed.truncation_order, mismatch)
+    return VerificationReport(identity_name, t, j, order, mismatch)
 
 
 def _check_params(t: int, j: int = 0, order: int = 0) -> None:

@@ -230,7 +230,6 @@ def euler_product(order: int) -> IntSeries:
     return pochhammer_inf(1, 1, order)
 
 
-@lru_cache(maxsize=None)
 def partition_series(order: int) -> IntSeries:
     """1/(q; q)_infinity, whose coefficient of q**n counts partitions of n."""
     return div(series_one(order), euler_product(order))

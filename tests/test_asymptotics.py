@@ -195,3 +195,8 @@ class TestEtaGrowth:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             eta_growth_ratio("0")
+
+    def test_rejects_eps_past_the_term_budget_at_once(self):
+        # At 50 digits eps 1e-7 would need about 1.4e9 factors: hours of work.
+        with pytest.raises(ValueError, match=r"eps must be >= 0\.00286\)"):
+            eta_growth_ratio("1e-7", dps=50)

@@ -392,12 +392,9 @@ class TestAsymptCommand:
         "argv",
         [("defect", "--t", "2", "--samples", "10"), ("transform", "--m", "1", "--eps", "0.1")],
     )
-    def test_precision_floor_holds_for_the_flag_and_the_environment(
-        self, capsys, monkeypatch, argv
-    ):
+    def test_precision_floor_holds_for_the_flag(self, capsys, argv):
         assert run_cli(capsys, "asympt", *argv, "--precision", "20")[0] == 0
-        monkeypatch.setenv(cli.PRECISION_ENV, "19")
-        assert run_cli(capsys, "asympt", *argv) == (
+        assert run_cli(capsys, "asympt", *argv, "--precision", "19") == (
             2, "", "error: precision must be at least 20, got 19\n"
         )
 
@@ -647,49 +644,35 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"error: csv format is not available for {where}\n"
 
-    def test_non_integer_precision_env_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORETOWER_PRECISION", "fifty")
-        code, out, err = run_cli(
-            capsys, "asympt", "transform", "--m", "1", "--eps", "0.1"
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: $CORETOWER_PRECISION must be an integer, got 'fifty'\n"
-
 
 class TestOneParserPerProcess:
-    # Each step is (environment, argv): json then plain, series T with --j
-    # and series D without, a refused flag, and a default read from the
-    # environment at call time.
+    # json then plain, series T with --j and series D without, a refused
+    # flag, a setting that must not outlive its call, and a missing --j.
     STEPS = [
-        ({}, ("series", "T", "--j", "1", "--t", "2", "--order", "8", "--format", "json")),
-        ({}, ("series", "D", "--t", "2", "--order", "8")),
-        ({}, ("core", "--t", "2", "--precision", "30", "3,1")),
-        ({"CORETOWER_PRECISION": "30"}, ("asympt", "transform", "--m", "1", "--eps", "0.1")),
-        ({}, ("asympt", "transform", "--m", "1", "--eps", "0.1")),
-        ({}, ("series", "T", "--t", "2", "--order", "8")),
+        ("series", "T", "--j", "1", "--t", "2", "--order", "8", "--format", "json"),
+        ("series", "D", "--t", "2", "--order", "8"),
+        ("core", "--t", "2", "--precision", "30", "3,1"),
+        ("asympt", "transform", "--m", "1", "--eps", "0.1", "--precision", "30"),
+        ("asympt", "transform", "--m", "1", "--eps", "0.1"),
+        ("series", "T", "--t", "2", "--order", "8"),
     ]
 
-    def test_calls_in_one_process_match_calls_run_alone(self, capsys, monkeypatch):
+    def test_calls_in_one_process_match_calls_run_alone(self, capsys):
         alone = []
-        for env, argv in self.STEPS:
-            base = {k: v for k, v in os.environ.items() if k != cli.PRECISION_ENV}
+        for argv in self.STEPS:
             proc = subprocess.run(
                 [sys.executable, "-m", "coretower", *argv],
                 capture_output=True,
                 text=True,
-                env={**base, "PYTHONPATH": SRC, **env},
+                env=dict(os.environ, PYTHONPATH=SRC),
             )
             alone.append((proc.returncode, proc.stdout, proc.stderr))
-        # The environment default reaches the output, and the last step fails.
+        # The setting reaches the output, and the last step fails.
         assert alone[3][1] != alone[4][1]
         assert [code for code, _, _ in alone] == [0, 0, 2, 0, 0, 2]
 
         together = []
-        for env, argv in self.STEPS * 2:
-            monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
-            for key, value in env.items():
-                monkeypatch.setenv(key, value)
+        for argv in self.STEPS * 2:
             code = main(list(argv))
             captured = capsys.readouterr()
             together.append((code, captured.out, captured.err))
@@ -749,14 +732,24 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout == "3,2,1\n"
 
-    def test_precision_env_variable_sets_the_default(self):
-        env = dict(os.environ, PYTHONPATH=SRC, CORETOWER_PRECISION="30")
-        proc = subprocess.run(
-            [sys.executable, "-m", "coretower", "asympt", "transform",
-             "--m", "1", "--eps", "0.1"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-        assert float(proc.stdout.split()[1]) < 1e-8
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("asympt", "transform", "--m", "1", "--eps", "0.1"),
+            ("asympt", "defect", "--t", "2", "--samples", "10,20"),
+        ],
+    )
+    def test_the_environment_does_not_move_the_output(self, argv):
+        # stdout depends on argv alone, whatever CORETOWER_PRECISION holds.
+        base = {k: v for k, v in os.environ.items() if k != "CORETOWER_PRECISION"}
+        runs = []
+        for extra in ({}, *({"CORETOWER_PRECISION": v} for v in ("30", "19", "fifty"))):
+            proc = subprocess.run(
+                [sys.executable, "-m", "coretower", *argv],
+                capture_output=True,
+                text=True,
+                env={**base, "PYTHONPATH": SRC, **extra},
+            )
+            runs.append((proc.returncode, proc.stdout))
+        assert runs[0][0] == 0 and runs[0][1]
+        assert runs == [runs[0]] * 4

@@ -27,7 +27,7 @@ from coretower import (
     telescoped_row_weight_check,
 )
 from coretower import genfun
-from coretower.series import IntSeries, mul, partition_series
+from coretower.series import IntSeries, OrderMismatchError, mul, partition_series
 from coretower.tower import _word
 from core_totals import first_nonvanishing_multiple
 from oracles import mul_dense, regular_partition_counts_brute
@@ -499,3 +499,7 @@ class TestVerificationReport:
     def test_compare_series_requires_equal_orders(self):
         with pytest.raises(ValueError):
             compare_series("x", IntSeries((1, 2)), IntSeries((1, 2, 3)))
+        with pytest.raises(OrderMismatchError):
+            compare_series("x", IntSeries((1, 2)), IntSeries((1, 2, 3)))
+        with pytest.raises(TypeError):
+            compare_series("x", IntSeries((1, 2)), (1, 2))
