@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import count, repeat
 from typing import Callable, Iterable
 
 from .partitions import Partition, _decode, _words, partition_count
@@ -33,7 +33,7 @@ from .series import (
     pochhammer_inf,
     series_zero,
 )
-from .tower import _check_modulus, _defect, _row_sizes
+from .tower import _RowSizes, _check_modulus, _defect
 
 Mismatch = tuple[int, int, int]
 
@@ -150,26 +150,28 @@ def _census(t: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """One pass over the partitions of n for modulus t: (row sizes, count)
     for each distinct tuple of tower row sizes.
 
-    Integers only, so the cache holds no partitions.  Each partition is
-    walked as its position word, straight from the enumeration; the
-    quotient components below row 0 have size at most n/t and recur across
-    many partitions of n, so their row sizes are memoised for this pass,
-    keyed by the component's word.  The defect check runs once for each
-    distinct tuple.
+    Integers only, so the cache holds no partitions.  Each position word
+    from the enumeration is tallied as one int, its row sizes packed by
+    tower._RowSizes n.bit_length() bits a row, as no row size or sum of
+    component sizes passes n.  Its memo, for this pass, maps each runner
+    word[i::t] as sliced to its component's packed size and rows: at most
+    one entry per string 1..1 c 0..0 of <= ceil((n+1)/t) characters with
+    |c| <= n/t.  Each distinct int is unpacked, and its defect checked, once.
     """
     _check_modulus(t)
-    memo: dict = {}
-    tally = Counter(_row_sizes(word, n, t, memo) for word in _words(n))
-    for sizes in tally:
+    kernel = _RowSizes(t, n)
+    tally = Counter(map(kernel.rows, _words(n), repeat(n)))
+    census = tuple((kernel.sizes(packed), k) for packed, k in tally.items())
+    for packed, (sizes, _) in zip(tally, census):
         try:
             _defect(None, n, t, sizes)
         except ArithmeticError:
             # The check depends on (n, t, sizes) only, so it fails for every
             # partition with these sizes: name the first one.
-            witness = next(w for w in _words(n) if _row_sizes(w, n, t, {}) == sizes)
+            witness = next(w for w in _words(n) if kernel.rows(w, n) == packed)
             _defect(Partition._trusted(_decode(witness)), n, t, sizes)
             raise
-    return tuple(tally.items())
+    return census
 
 
 def _enumerated(t: int, order: int, stat: Callable[[int, tuple], int]) -> IntSeries:

@@ -19,6 +19,12 @@ largest part is far above its number of parts is split from its bead
 list instead (see _abacus), in time and memory that grow with its
 length alone.
 
+Tower row sizes are packed in one int (_RowSizes), row j at bit j * bits
+with bits = n.bit_length(): no row, nor sum of component sizes, passes n,
+so no digit carries.  Its memo maps a runner word[i::t] as sliced to its
+component's size + (rows << bits); in the census of n, at most one entry
+per string 1..1 c 0..0 of <= ceil((n+1)/t) characters with |c| <= n/t.
+
 Convention fixed here: bead counts are always normalised up to a multiple
 of t before reading off cores and quotients.  This pins down the order of
 the quotient components; aggregate statistics (sizes, defects, tower row
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat, zip_longest
+from itertools import chain, islice, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -51,11 +57,6 @@ def _check_modulus(t: int) -> None:
         raise ValueError(f"modulus t must be at least 2, got {t}")
     if t > _MAX_ROW_ENTRIES:
         raise ValueError(f"modulus t must be at most {_MAX_ROW_ENTRIES}, got {t}")
-
-
-def _bead_count(length: int, t: int) -> int:
-    """Smallest multiple of t that is >= length."""
-    return length if length % t == 0 else length + (t - length % t)
 
 
 def _beads(parts: Sequence[int], count: int) -> Iterator[int]:
@@ -96,14 +97,6 @@ def _as_parts(abacus: _Abacus) -> tuple[int, ...]:
     return abacus if isinstance(abacus, tuple) else _decode(abacus)
 
 
-def _components(word: str, t: int) -> list[str]:
-    """The quotient component on each runner word[i::t] of a word, as a word
-    no longer than the runner: the runner without the run of 1s at its
-    bottom, which are zero parts, and the 0s above its top bead.  An empty
-    component is the empty word."""
-    return [word[i::t].lstrip("1").rstrip("0") for i in range(t)]
-
-
 def _core(counts: Iterable[tuple[int, int]], t: int) -> tuple[int, ...]:
     """Parts of the t-core with c beads pushed down runner i, at t*h + i for
     h < c, for each (i, c) in counts; the runners left out hold none."""
@@ -119,7 +112,7 @@ def _split(abacus: _Abacus, t: int) -> tuple[tuple[int, ...], list]:
     Runner i of a word is word[i::t].  Padding its k beads up to a
     multiple of t would put -k % t beads below position 0, all zero parts,
     so runner i is runner (i - k) % t of the convention, and the pad beads
-    only lengthen the run of 1s at its bottom, which _components strips.
+    only lengthen the run of 1s at its bottom, which is stripped.
     """
     if isinstance(abacus, tuple):
         return _split_beads(abacus, t)
@@ -134,7 +127,7 @@ def _split(abacus: _Abacus, t: int) -> tuple[tuple[int, ...], list]:
     children = [
         (r, c)
         for r, runner in enumerate(runners[k:] + runners[:k])
-        if (c := runner.lstrip("1").rstrip("0"))  # as _components strips it
+        if (c := runner.lstrip("1").rstrip("0"))
     ]
     low = min(counts)  # every position below t * low holds a bead
     return _core(((i, c - low) for i, c in enumerate(counts)), t), children
@@ -194,7 +187,7 @@ def reconstruct(core: Partition, quotient: Sequence[Partition], t: int) -> Parti
     if not is_t_core(core, t):
         raise ValueError(f"core argument {core!r} is not a {t}-core")
     pad = max((len(q) for q in quotient), default=0)
-    k = _bead_count(len(core), t) + t * pad
+    k = -(-len(core) // t) * t + t * pad  # len(core) up to a multiple of t
     counts = [0] * t
     for b in _beads(core.parts, k):
         counts[b % t] += 1
@@ -295,40 +288,45 @@ def core_tower(lam: Partition, t: int) -> CoreTower:
     return CoreTower(t=t, entries=tuple(entries))
 
 
-def _row_sizes(abacus: _Abacus, size: int, t: int, memo: dict) -> tuple[int, ...]:
-    """Tower row sizes of the partition of this size and abacus (_abacus).
+class _RowSizes(dict):
+    """Packed row sizes (module docstring) for modulus t and sizes <= n; a
+    memo for one call, keyed by runners and _split_beads' child abacuses."""
 
-    Only the quotient components are read off, as _split reads them, and
-    the core has what is left, size - t * (total component size).  Row
-    j + 1 is the sum of row j of the components' towers.  memo maps a
-    component's abacus to (its size, *its row sizes), computed on a miss,
-    so a component that recurs is walked once.
-    """
-    if isinstance(abacus, tuple):
-        components = [child for _, child in _split_beads(abacus, t)[1]]
-    elif len(abacus) <= t:
-        return (size,)  # its own core: see _split
-    else:
-        components = _components(abacus, t)
-    subs = []  # (size, *row sizes) of each nonempty component
-    for child in filter(None, components):
-        sub = memo.get(child)
-        if sub is None:
-            q = sum(_as_parts(child))
-            sub = memo[child] = (q, *_row_sizes(child, q, t, memo))
-        subs.append(sub)
-    q, *rows = map(sum, zip_longest(*subs, fillvalue=0)) if subs else (0,)
-    return (size - t * q, *rows)
+    def __init__(self, t: int, n: int):
+        self.t, self.bits, self.runners = t, n.bit_length(), []
+
+    def __missing__(self, key: _Abacus) -> int:
+        child = key if isinstance(key, tuple) else key.lstrip("1").rstrip("0")
+        size = sum(_as_parts(child))
+        self[key] = value = size + (self.rows(child, size) << self.bits)
+        return value
+
+    def rows(self, abacus: _Abacus, size: int) -> int:
+        """Packed rows of the partition of this size and abacus: the low digit
+        of its components' summed values s is their size, the rest their rows."""
+        t, bits = self.t, self.bits
+        if isinstance(abacus, tuple):
+            s = sum(self[child] for _, child in _split_beads(abacus, t)[1])
+        elif len(abacus) <= t:
+            return size  # its own core: see _split
+        else:
+            if not self.runners:  # t slices, and t < len(abacus) <= n + 1
+                self.runners = [slice(i, None, t) for i in range(t)]
+            s = sum(map(self.__getitem__, map(abacus.__getitem__, self.runners)))
+        return size - t * (s & ((1 << bits) - 1)) + (s >> bits << bits)
+
+    def sizes(self, packed: int) -> tuple[int, ...]:
+        """Row 0 up to the tower height, from packed rows."""
+        digits = range(0, max(packed.bit_length(), 1), self.bits or 1)
+        return tuple(packed >> i & ((1 << self.bits) - 1) for i in digits)
 
 
 def tower_row_sizes(lam: Partition, t: int) -> tuple[int, ...]:
-    """Total size of each tower row, row 0 up to the tower height.
-
-    Sparse equivalent of core_tower(lam, t).row_sizes, walked by _row_sizes
-    with a memo that lives for this call; no core is decoded.
-    """
+    """Total size of each tower row, row 0 up to the tower height, as in
+    core_tower(lam, t).row_sizes, summed packed by _RowSizes; no core."""
     _check_modulus(t)
-    return _row_sizes(_abacus(lam.parts), lam.size, t, {})
+    kernel = _RowSizes(t, lam.size)
+    return kernel.sizes(kernel.rows(_abacus(lam.parts), lam.size))
 
 
 def row_size(lam: Partition, t: int, j: int) -> int:

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 from itertools import count
 from math import isqrt
 
@@ -26,9 +28,10 @@ from coretower import (
     row_weight_series_brute,
     telescoped_row_weight_check,
 )
-from coretower import genfun
+from coretower import genfun, tower
 from coretower.series import IntSeries, OrderMismatchError, mul, partition_series
 from coretower.tower import _word
+import dense_tower
 from core_totals import first_nonvanishing_multiple
 from oracles import mul_dense, regular_partition_counts_brute
 
@@ -246,6 +249,41 @@ class TestEnumerationCensus:
         )
         assert defect_series_brute(t, order).coeffs == (0,) * (order + 1)
 
+    @staticmethod
+    def dense_tally(t, n):
+        """(row sizes, count) pairs of the partitions of n, sorted, from the
+        dense tower oracle."""
+        tally = Counter(
+            tuple(sum(p.size for p in row) for row in dense_tower.core_tower_rows(lam, t))
+            for lam in enumerate_partitions(n)
+        )
+        return sorted(tally.items())
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
+    def test_census_tallies_the_dense_row_sizes(self, t):
+        for n in range(19):
+            assert sorted(genfun._census(t, n)) == self.dense_tally(t, n)
+
+    @pytest.mark.parametrize("n", [31, 32, 33])
+    def test_census_across_a_step_in_the_digit_width(self, n):
+        # The census packs each row in n.bit_length() bits: 5 up to n = 31,
+        # 6 from n = 32 on.  At t = 2 no row here passes 28, the largest
+        # 2-core size, so t = n adds rows of n: all 1s at n = 31, the top
+        # bit alone at n = 32.
+        for t in (2, n):
+            assert sorted(genfun._census(t, n)) == self.dense_tally(t, n)
+
+    def test_largest_modulus_census_memory(self):
+        # Every word of n <= 30 is at most 31 characters, so at t = 2**20
+        # each partition is its own core: no runner is sliced or stored.
+        tracemalloc.start()
+        try:
+            genfun._census.__wrapped__(1 << 20, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestCensusDefectCheck:
     """The census checks each distinct tuple of row sizes once, and names a
@@ -255,12 +293,14 @@ class TestCensusDefectCheck:
         # Only (3, 2, 1) gets row sizes summing past n, a negative defect,
         # so it is the one named, not (6), the first partition enumerated.
         n, t = 6, 2
-        real, bad = genfun._row_sizes, _word((3, 2, 1))
+        bad = _word((3, 2, 1))
 
-        def fake(word, size, t, memo):
-            return (size + 1,) if word == bad else real(word, size, t, memo)
+        class Fake(tower._RowSizes):
+            # One row of n + 1: still a single digit, as n + 1 < 2**bits.
+            def rows(self, abacus, size):
+                return size + 1 if abacus == bad else super().rows(abacus, size)
 
-        monkeypatch.setattr(genfun, "_row_sizes", fake)
+        monkeypatch.setattr(genfun, "_RowSizes", Fake)
         with pytest.raises(ArithmeticError, match=r"defect of Partition\(\[3, 2, 1\]\)"):
             genfun._census.__wrapped__(t, n)
 

@@ -197,6 +197,19 @@ class TestTower:
             assert 5000 < lam.size < 15000
             assert tower_row_sizes(lam, t) == core_tower(lam, t).row_sizes
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_row_sizes_exact_when_a_row_fills_its_digit(self, k):
+        # Row sizes are packed in n.bit_length() bits each: at n = 2**k - 1
+        # a row of n is all 1s, and at n = 2**k it is the top bit alone.
+        for n in (2**k - 1, 2**k):
+            assert tower_row_sizes(Partition((n,)), n + 1) == (n,)
+            for a in range(1, n + 1):
+                hook = Partition((a,) + (1,) * (n - a))
+                for t in (2, 3, n + 1):
+                    rows = dense_tower.core_tower_rows(hook, t)
+                    sizes = tuple(sum(p.size for p in row) for row in rows)
+                    assert tower_row_sizes(hook, t) == sizes
+
     def test_row_size_examples(self):
         assert row_size(WORKED, 2, 0) == 6
         assert row_size(WORKED, 2, 1) == 0
