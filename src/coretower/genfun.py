@@ -18,8 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, repeat
-from typing import Callable, Iterable
+from itertools import count, repeat, tee
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .partitions import Partition, _decode, _words, partition_count
 from .series import (
@@ -33,7 +34,7 @@ from .series import (
     pochhammer_inf,
     series_zero,
 )
-from .tower import _RowSizes, _check_modulus, _defect
+from .tower import _RowSizes, _defect
 
 Mismatch = tuple[int, int, int]
 
@@ -146,38 +147,48 @@ def row_weight_series(j: int, t: int, order: int) -> IntSeries:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _census(t: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """One pass over the partitions of n for modulus t: (row sizes, count)
-    for each distinct tuple of tower row sizes.
+def _census(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """One sweep over the partitions of n = 0..order for modulus t: for each
+    n, (row sizes, count) for each distinct tuple of tower row sizes.
 
-    Integers only, so the cache holds no partitions.  Each position word
-    from the enumeration is tallied as one int, its row sizes packed by
-    tower._RowSizes n.bit_length() bits a row, as no row size or sum of
-    component sizes passes n.  Its memo, for this pass, maps each runner
-    word[i::t] as sliced to its component's packed size and rows: at most
-    one entry per string 1..1 c 0..0 of <= ceil((n+1)/t) characters with
-    |c| <= n/t.  Each distinct int is unpacked, and its defect checked, once.
+    Integers only, so the cache holds no partitions.  The sweep shares one
+    tower._RowSizes table, order.bit_length() bits a row, dropped when it
+    ends: it maps each runner word[i::t] as sliced to its component's
+    (rows << bits) - t * size, so a word of n tallies as n plus one sum over
+    its min(t, n + 1) runners.  Each distinct int is unpacked, and its
+    defect checked, once.
     """
-    _check_modulus(t)
-    kernel = _RowSizes(t, n)
-    tally = Counter(map(kernel.rows, _words(n), repeat(n)))
-    census = tuple((kernel.sizes(packed), k) for packed, k in tally.items())
-    for packed, (sizes, _) in zip(tally, census):
-        try:
-            _defect(None, n, t, sizes)
-        except ArithmeticError:
-            # The check depends on (n, t, sizes) only, so it fails for every
-            # partition with these sizes: name the first one.
-            witness = next(w for w in _words(n) if kernel.rows(w, n) == packed)
-            _defect(Partition._trusted(_decode(witness)), n, t, sizes)
-            raise
-    return census
+    _check_params(t, order=order)
+    table = _RowSizes(t, order)
+    get = table.__getitem__
+
+    def tallies(n: int) -> Iterator[int]:
+        # Packed rows per word: one C-level sum over tee'd runner columns.
+        words = enumerate(tee(_words(n), min(t, n + 1)))
+        cols = (map(get, map(itemgetter(slice(i, None, t)), w)) for i, w in words)
+        return map(sum, zip(repeat(n), *cols))
+
+    sweep = []
+    for n in range(order + 1):
+        tally = Counter(tallies(n))
+        census = tuple((table.sizes(p), k) for p, k in tally.items())
+        for p, (sizes, _) in zip(tally, census):
+            try:
+                _defect(None, n, t, sizes)
+            except ArithmeticError:
+                # The check depends on (n, t, sizes) only, so it fails for
+                # every partition with these sizes: name the first one.
+                witness = next(w for w, q in zip(_words(n), tallies(n)) if q == p)
+                _defect(Partition._trusted(_decode(witness)), n, t, sizes)
+                raise
+        sweep.append(census)
+    return tuple(sweep)
 
 
 def _enumerated(t: int, order: int, stat: Callable[[int, tuple], int]) -> IntSeries:
     """The series whose coefficient of q**n sums stat(n, row sizes) over the
     partitions of n, read off the census."""
-    sums = (sum(k * stat(n, s) for s, k in _census(t, n)) for n in range(order + 1))
+    sums = (sum(k * stat(n, s) for s, k in c) for n, c in enumerate(_census(t, order)))
     return IntSeries(tuple(sums))
 
 

@@ -20,10 +20,10 @@ list instead (see _abacus), in time and memory that grow with its
 length alone.
 
 Tower row sizes are packed in one int (_RowSizes), row j at bit j * bits
-with bits = n.bit_length(): no row, nor sum of component sizes, passes n,
-so no digit carries.  Its memo maps a runner word[i::t] as sliced to its
-component's size + (rows << bits); in the census of n, at most one entry
-per string 1..1 c 0..0 of <= ceil((n+1)/t) characters with |c| <= n/t.
+for sizes up to n < 2**bits: no row, nor sum of component sizes, passes n,
+so no digit carries.  Its table maps a runner word[i::t] as sliced to its
+component's whole share of the packed rows, (rows << bits) - t * size, so
+a partition of n packs as n plus the sum of its runners' values.
 
 Convention fixed here: bead counts are always normalised up to a multiple
 of t before reading off cores and quotients.  This pins down the order of
@@ -289,31 +289,30 @@ def core_tower(lam: Partition, t: int) -> CoreTower:
 
 
 class _RowSizes(dict):
-    """Packed row sizes (module docstring) for modulus t and sizes <= n; a
-    memo for one call, keyed by runners and _split_beads' child abacuses."""
+    """Packed row sizes (module docstring) for modulus t and sizes <= n: a
+    table keyed by runners and _split_beads' child abacuses."""
 
     def __init__(self, t: int, n: int):
-        self.t, self.bits, self.runners = t, n.bit_length(), []
+        self.t, self.bits = t, n.bit_length()
 
     def __missing__(self, key: _Abacus) -> int:
         child = key if isinstance(key, tuple) else key.lstrip("1").rstrip("0")
         size = sum(_as_parts(child))
-        self[key] = value = size + (self.rows(child, size) << self.bits)
+        self[key] = value = (self.rows(child, size) << self.bits) - self.t * size
         return value
 
     def rows(self, abacus: _Abacus, size: int) -> int:
-        """Packed rows of the partition of this size and abacus: the low digit
-        of its components' summed values s is their size, the rest their rows."""
-        t, bits = self.t, self.bits
+        """Packed rows of the partition of this size and abacus: its size
+        plus the values of its runners, or of its nonempty components."""
+        t = self.t
         if isinstance(abacus, tuple):
-            s = sum(self[child] for _, child in _split_beads(abacus, t)[1])
+            runners = (child for _, child in _split_beads(abacus, t)[1])
         elif len(abacus) <= t:
             return size  # its own core: see _split
-        else:
-            if not self.runners:  # t slices, and t < len(abacus) <= n + 1
-                self.runners = [slice(i, None, t) for i in range(t)]
-            s = sum(map(self.__getitem__, map(abacus.__getitem__, self.runners)))
-        return size - t * (s & ((1 << bits) - 1)) + (s >> bits << bits)
+        else:  # t slices, made one at a time and none kept
+            cuts = map(slice, range(t), repeat(None), repeat(t))
+            runners = map(abacus.__getitem__, cuts)
+        return size + sum(map(self.__getitem__, runners))
 
     def sizes(self, packed: int) -> tuple[int, ...]:
         """Row 0 up to the tower height, from packed rows."""

@@ -228,6 +228,26 @@ class TestSeriesCommand:
         assert code == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize("t", [2**20 + 1, 10**12])
+    @pytest.mark.parametrize("family", [("T", "--j", "1"), ("D",), ("cores", "--j", "0")])
+    def test_both_mode_past_the_largest_tower_modulus(self, capsys, family, t):
+        # The census builds no tower row, so it takes every t >= 2, as the
+        # closed forms do.
+        code, out, err = run_cli(
+            capsys, "series", *family, "--t", str(t), "--order", "5", "--mode", "both"
+        )
+        assert (code, err) == (0, "")
+        j = f" j={family[2]}" if len(family) > 1 else ""
+        assert out == f"series.{family[0]} t={t}{j} order=5: PASS\n"
+
+    def test_brute_mode_past_the_largest_tower_modulus(self, capsys):
+        # For t > n every partition of n is a t-core: row 0 sums to n p(n).
+        code, out, _ = run_cli(
+            capsys, "series", "T", "--j", "0", "--t", "100000000", "--order", "3",
+            "--mode", "brute",
+        )
+        assert (code, out) == (0, "0 0\n1 1\n2 4\n3 9\n")
+
     def test_j_is_required_for_row_series(self, capsys):
         code, _, err = run_cli(capsys, "series", "T", "--t", "2", "--order", "3")
         assert code == 2
@@ -601,8 +621,7 @@ class TestUsageErrors:
              "eps must be <= 0.345"),
             (("core", "--t", "1048577", "1"), "modulus t must be at most 1048576"),
             (("tower", "--t", "100000000", "1"), "modulus t must be at most"),
-            (("series", "T", "--j", "0", "--t", "100000000", "--order", "3",
-              "--mode", "brute"), "modulus t must be at most"),
+            (("quotient", "--t", "100000000", "1"), "modulus t must be at most"),
             (("asympt", "defect", "--t", "2", "--samples", "100", "--precision", "3"),
              "precision must be at least 20, got 3"),
             (("asympt", "transform", "--m", "1", "--eps", "0.1", "--precision", "19"),

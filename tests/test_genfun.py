@@ -261,21 +261,29 @@ class TestEnumerationCensus:
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
     def test_census_tallies_the_dense_row_sizes(self, t):
+        sweep = genfun._census(t, 18)
+        assert len(sweep) == 19
         for n in range(19):
-            assert sorted(genfun._census(t, n)) == self.dense_tally(t, n)
+            assert sorted(sweep[n]) == self.dense_tally(t, n)
 
     @pytest.mark.parametrize("n", [31, 32, 33])
     def test_census_across_a_step_in_the_digit_width(self, n):
-        # The census packs each row in n.bit_length() bits: 5 up to n = 31,
-        # 6 from n = 32 on.  At t = 2 no row here passes 28, the largest
-        # 2-core size, so t = n adds rows of n: all 1s at n = 31, the top
-        # bit alone at n = 32.
+        # A sweep to order n packs each row in n.bit_length() bits: 5 up to
+        # order 31, 6 from order 32 on.  At t = 2 no row here passes 28, the
+        # largest 2-core size, so t = n adds rows of n: all 1s at n = 31,
+        # the top bit alone at n = 32.
         for t in (2, n):
-            assert sorted(genfun._census(t, n)) == self.dense_tally(t, n)
+            assert sorted(genfun._census(t, n)[n]) == self.dense_tally(t, n)
+        if n == 33:
+            # n = 31 again, now in 6-bit digits: at t = 31 row 0 is 31,
+            # all 1s in 5 bits, for every partition but the 31 hooks.
+            for t in (2, 31):
+                assert sorted(genfun._census(t, 33)[31]) == self.dense_tally(t, 31)
 
     def test_largest_modulus_census_memory(self):
         # Every word of n <= 30 is at most 31 characters, so at t = 2**20
-        # each partition is its own core: no runner is sliced or stored.
+        # each runner holds at most one position: the table keeps the
+        # values of "", "0" and "1" only.
         tracemalloc.start()
         try:
             genfun._census.__wrapped__(1 << 20, 30)
@@ -290,19 +298,23 @@ class TestCensusDefectCheck:
     partition of n when the check fails."""
 
     def test_impossible_row_sizes_name_a_partition_of_n(self, monkeypatch):
-        # Only (3, 2, 1) gets row sizes summing past n, a negative defect,
-        # so it is the one named, not (6), the first partition enumerated.
-        n, t = 6, 2
-        bad = _word((3, 2, 1))
+        # A fault in the table adds one to the core digit of each word with
+        # runner "111" at t = 2.  In a sweep to order 6 only (3, 2, 1), a
+        # 2-core of 6 with runners "000" and "111", then sums past n, a
+        # negative defect; the others with that runner have a defect of at
+        # least 1.  So (3, 2, 1) is the one named, not (6), the first
+        # partition enumerated.
+        t, order = 2, 6
+        assert _word((3, 2, 1))[1::t] == "111"
 
         class Fake(tower._RowSizes):
-            # One row of n + 1: still a single digit, as n + 1 < 2**bits.
-            def rows(self, abacus, size):
-                return size + 1 if abacus == bad else super().rows(abacus, size)
+            def __missing__(self, key):
+                self[key] = value = super().__missing__(key) + (key == "111")
+                return value
 
         monkeypatch.setattr(genfun, "_RowSizes", Fake)
         with pytest.raises(ArithmeticError, match=r"defect of Partition\(\[3, 2, 1\]\)"):
-            genfun._census.__wrapped__(t, n)
+            genfun._census.__wrapped__(t, order)
 
 
 class TestCoreSizeTotals:

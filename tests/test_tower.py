@@ -335,6 +335,21 @@ class TestSparseWalk:
             with pytest.raises(ValueError, match="too many entries"):
                 pre_tower_row(EMPTY, 2, j)
 
+    def test_memory_of_a_long_word_at_a_large_modulus(self):
+        # Its word has 72001 characters, more than t, so all 2**16 runners
+        # are sliced: one at a time, none kept.  Bead 72000, at height 1
+        # of runner 6464 and alone there, slides down to 6464: the core is
+        # (4464, 1, ..., 1) and the quotient the single cell (1).
+        lam, t = Partition((70000,) + (1,) * 2000), 1 << 16
+        tracemalloc.start()
+        try:
+            assert tower_row_sizes(lam, t) == (6464, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert core_tower(lam, t).row_sizes == (6464, 1)
+
 
 class TestSparseTower:
     """CoreTower keeps only the nonempty cores; rows is derived from them."""
