@@ -29,10 +29,12 @@ _INTS = re.compile("[0-9]+(?:,[0-9]+)*")
 
 
 def _parse_ints(text: str, error: str) -> tuple[int, ...]:
-    """The comma-separated plain ASCII digit runs of text, else ValueError(error)."""
+    """The comma-separated plain ASCII digit runs of text, else ValueError(error).
+    Each distinct run is read by int() once, in order of first appearance."""
     if not _INTS.fullmatch(text):
         raise ValueError(error)
-    return tuple(map(int, text.split(",")))
+    runs = text.split(",")
+    return tuple(map({run: int(run) for run in dict.fromkeys(runs)}.__getitem__, runs))
 
 
 def _parse_partition(text: str) -> Partition:
@@ -79,8 +81,9 @@ def _int_list(xs, depth: int) -> str:
 
 
 def _cells(tower, empty: str, fmt) -> Iterator[list[str]]:
-    """Each row of tower as its t**j rendered cells: fmt(parts) at the
-    nonempty entries, the same empty string at all the others."""
+    """Each row of tower as its t**j rendered cells: fmt(parts), once per
+    distinct parts, at the nonempty entries, one empty string at the others."""
+    fmt = cache(fmt)
     for j, row in enumerate(tower.entries):
         cells = [empty] * tower.t**j
         for i, parts in row:

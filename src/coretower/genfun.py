@@ -146,12 +146,21 @@ def row_weight_series(j: int, t: int, order: int) -> IntSeries:
     return _sigma_over_eta(order, ((m, m), (t * m, -t * t * m)))
 
 
-@lru_cache(maxsize=None, typed=True)
+_sweeps: dict[int, tuple] = {}  # the one census sweep kept for each t
+
+
 def _census(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """_sweep(t, order), read off the sweep kept for t; a higher order replaces it."""
+    if not 0 <= order < len(_sweeps.get(t, ())):
+        _sweeps[t] = _sweep(t, order)
+    return _sweeps[t][: order + 1]
+
+
+def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
     """One sweep over the partitions of n = 0..order for modulus t: for each
     n, (row sizes, count) for each distinct tuple of tower row sizes.
 
-    Integers only, so the cache holds no partitions.  The sweep shares one
+    Integers only, so _census keeps no partitions.  The sweep shares one
     tower._RowSizes table, order.bit_length() bits a row, dropped when it
     ends: it maps each runner word[i::t] as sliced to its component's
     (rows << bits) - t * size, so a word of n tallies as n plus one sum over

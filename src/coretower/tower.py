@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -97,17 +97,19 @@ def _as_parts(abacus: _Abacus) -> tuple[int, ...]:
     return abacus if isinstance(abacus, tuple) else _decode(abacus)
 
 
-def _core(counts: Iterable[tuple[int, int]], t: int) -> tuple[int, ...]:
-    """Parts of the t-core with c beads pushed down runner i, at t*h + i for
-    h < c, for each (i, c) in counts; the runners left out hold none."""
-    beads = [t * h + i for i, c in counts for h in range(c)]
+def _core(heights: Iterable[tuple[int, int]], t: int) -> tuple[int, ...]:
+    """Parts of the t-core with h beads pushed down runner i, at t*g + i for
+    g < h, for each (i, h) in heights; the runners left out hold none."""
+    beads = [t * g + i for i, h in heights for g in range(h)]
     beads.sort(reverse=True)
     return _parts(beads)
 
 
-def _split(abacus: _Abacus, t: int) -> tuple[tuple[int, ...], list]:
-    """Core parts and the (r, abacus) of each nonempty quotient component r,
-    in increasing r, of the partition with this abacus (see _abacus).
+def _split(abacus: _Abacus, t: int) -> tuple[tuple, list]:
+    """Height vector and the (r, abacus) of each nonempty quotient component
+    r, in increasing r, of the partition with this abacus (see _abacus).
+    The heights, (i, h) in increasing i for each runner i with h > 0 beads
+    over the fewest, fix the core, _core(heights, t), as its charge vector does.
 
     Runner i of a word is word[i::t].  Padding its k beads up to a
     multiple of t would put -k % t beads below position 0, all zero parts,
@@ -120,7 +122,7 @@ def _split(abacus: _Abacus, t: int) -> tuple[tuple[int, ...], list]:
     if len(word) <= t:
         # At most one position per runner: the word is its own core, and
         # its runners hold zero parts only.
-        return _decode(word), []
+        return tuple(zip(map(add, _decode(word)[::-1], count()), repeat(1))), []
     runners = [word[i::t] for i in range(t)]  # each runner sliced once
     counts = [r.count("1") for r in runners]
     k = sum(counts) % t
@@ -130,14 +132,14 @@ def _split(abacus: _Abacus, t: int) -> tuple[tuple[int, ...], list]:
         if (c := runner.lstrip("1").rstrip("0"))
     ]
     low = min(counts)  # every position below t * low holds a bead
-    return _core(((i, c - low) for i, c in enumerate(counts)), t), children
+    return tuple((i, h) for i, c in enumerate(counts) if (h := c - low)), children
 
 
-def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]:
+def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple, list]:
     """_split for a partition kept as its k parts, in O(k log k): bead b
     goes on runner b % t at height b // t, and each component is kept as
-    _abacus chooses.  Only occupied runners are visited: the core has each
-    one's beads pushed down, at t*h + i on runner i."""
+    _abacus chooses.  Only occupied runners are visited, and the fewest
+    beads on a runner is 0 unless all t are."""
     k = len(parts)
     runners: dict[int, list[int]] = {}
     for q, i in map(divmod, _beads(parts, k), repeat(t)):
@@ -148,13 +150,15 @@ def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple[int, ...], list]
         if (child := _parts(run))
     ]
     children.sort()
-    return _core(((i, len(run)) for i, run in runners.items()), t), children
+    low = min(map(len, runners.values())) if len(runners) == t else 0
+    heights = sorted((i, h) for i, run in runners.items() if (h := len(run) - low))
+    return tuple(heights), children
 
 
 def t_core(lam: Partition, t: int) -> Partition:
     """The t-core of lam: no hook length of the result is divisible by t."""
     _check_modulus(t)
-    return Partition._trusted(_split(_abacus(lam.parts), t)[0])
+    return Partition._trusted(_core(_split(_abacus(lam.parts), t)[0], t))
 
 
 def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
@@ -216,17 +220,21 @@ def _levels(lam: Partition, t: int) -> Iterator[list]:
     """(index, abacus, core parts, components) of the nonempty entries of
     pre-tower rows 0, 1, ...; entry i's component r is entry t*i + r below.
 
-    splits maps each abacus met so far to its _split, so an abacus that
-    recurs in the walk is split once; it is dropped with the generator.
+    splits maps each abacus met so far to its core and components, and cores
+    each height vector met (see _split) to its core; both go with the generator.
     """
     splits: dict[_Abacus, tuple] = {}
+    cores: dict[tuple, tuple[int, ...]] = {}
     level = [(0, _abacus(lam.parts))]
     while level:
         entries = []
         for i, a in level:
             split = splits.get(a)
             if split is None:
-                split = splits[a] = _split(a, t)
+                heights, children = _split(a, t)
+                if (core := cores.get(heights)) is None:
+                    core = cores[heights] = _core(heights, t)
+                split = splits[a] = core, children
             entries.append((i, a, *split))
         yield entries
         level = [(t * i + r, a) for i, _, _, children in entries for r, a in children]
@@ -257,8 +265,8 @@ class CoreTower:
     built on first use, and row_sizes sums the entries.  Rows are kept up
     to the last level whose pre-tower row is nonempty; for the empty
     partition that is the single row (EMPTY,), whose entries are ().
-    core_tower fills entries in one walk that splits each distinct abacus
-    once and keeps no split after it returns.
+    core_tower fills entries in one walk (see _levels), so equal cores may
+    share one tuple, and keeps none of the walk's memos after it returns.
     """
 
     t: int

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from mpmath import mp
 
 import dense_tower
-from coretower import EMPTY, IntSeries, Partition, cli
+from coretower import EMPTY, IntSeries, Partition, cli, core_tower
 from coretower.cli import main
 from strategies import moduli, partitions
 
@@ -175,6 +176,68 @@ class TestTowerRenderer:
     def test_tall_and_wide_towers(self, parts, t):
         lam = Partition(parts)
         assert tower_outputs(lam, t) == reference_tower_outputs(lam, t)
+
+
+class TestRepeatedPartsPins:
+    """Byte pins for inputs whose parts and tower cores repeat: 500 parts
+    drawn from 1..80, n near 2 * 10**4."""
+
+    @staticmethod
+    def parts(seed):
+        rng = random.Random(seed)
+        return sorted((rng.randint(1, 80) for _ in range(500)), reverse=True)
+
+    @pytest.mark.parametrize(
+        "seed, t, digest",
+        [
+            (1, 2, "4f96b5e7c1e3f94f6ed489d6507307f821eead8d269d57813c230615669799ee"),
+            (2, 3, "7b780640017fd59bb12ec079a92e4184775817b061319d4a134113c0c8c70772"),
+            (3, 5, "f2476fb30850ade614038e94c73c6d1fb6e354bcbb8183e260c6a2f587e337e3"),
+        ],
+    )
+    def test_point_queries_match_their_pins(self, capsys, seed, t, digest):
+        # SHA-256 of the stdout of core, quotient and tower, plain then
+        # json, one after the other, as printed before any memo was added.
+        parts = self.parts(seed)
+        cores = [c for row in core_tower(Partition(tuple(parts)), t).entries for _, c in row]
+        assert len(set(cores)) * 3 < len(cores) and len(set(parts)) * 6 < len(parts)
+        h = hashlib.sha256()
+        for command in ("core", "quotient", "tower"):
+            for fmt in ("plain", "json"):
+                argv = (command, "--t", str(t), "--format", fmt, ",".join(map(str, parts)))
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == 0
+                h.update(out.encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt, formatter", [("json", "_int_list"), ("plain", "_fmt_parts")])
+    def test_each_distinct_core_is_formatted_once(self, capsys, monkeypatch, fmt, formatter):
+        parts = self.parts(3)
+        cores = [c for row in core_tower(Partition(tuple(parts)), 5).entries for _, c in row]
+        calls = []
+        original = getattr(cli, formatter)
+
+        def spying(xs, *rest):
+            calls.append(tuple(xs))
+            return original(xs, *rest)
+
+        monkeypatch.setattr(cli, formatter, spying)
+        text = ",".join(map(str, parts))
+        code, _, _ = run_cli(capsys, "tower", "--t", "5", "--format", fmt, text)
+        assert code == 0
+        # Besides the cells: json formats the partition and the row sizes
+        # after them, plain the partition before them.
+        cells = calls[:-2] if fmt == "json" else calls[1:]
+        assert sorted(cells) == sorted(set(cores))
+
+    def test_parts_with_leading_zeros_read_as_their_values(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, "core", "--t", "2", "--format", "json", "007,7,3")
+        assert code == 0
+        assert json.loads(out)["partition"] == [7, 7, 3]
+        read = []
+        monkeypatch.setattr(cli, "int", lambda s: read.append(s) or int(s), raising=False)
+        assert cli._parse_ints("007,7,3,7,3", "bad") == (7, 7, 3, 7, 3)
+        assert read == ["007", "7", "3"]  # once per distinct run, in order
 
 
 class TestSeriesCommand:

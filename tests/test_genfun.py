@@ -271,14 +271,38 @@ class TestEnumerationCensus:
         # A sweep to order n packs each row in n.bit_length() bits: 5 up to
         # order 31, 6 from order 32 on.  At t = 2 no row here passes 28, the
         # largest 2-core size, so t = n adds rows of n: all 1s at n = 31,
-        # the top bit alone at n = 32.
+        # the top bit alone at n = 32.  Fresh sweeps, so that no longer
+        # sweep kept by _census serves these orders in other digits.
         for t in (2, n):
-            assert sorted(genfun._census(t, n)[n]) == self.dense_tally(t, n)
+            assert sorted(genfun._sweep(t, n)[n]) == self.dense_tally(t, n)
         if n == 33:
             # n = 31 again, now in 6-bit digits: at t = 31 row 0 is 31,
             # all 1s in 5 bits, for every partition but the 31 hooks.
             for t in (2, 31):
-                assert sorted(genfun._census(t, 33)[31]) == self.dense_tally(t, 31)
+                assert sorted(genfun._sweep(t, 33)[31]) == self.dense_tally(t, 31)
+
+    def test_one_sweep_per_modulus(self, monkeypatch):
+        # A lower order is read from the sweep kept for t; a higher one
+        # sweeps again and replaces it.  Each order reads as its own sweep.
+        swept = []
+        sweep = genfun._sweep
+
+        def spying(t, order):
+            swept.append((t, order))
+            return sweep(t, order)
+
+        monkeypatch.setattr(genfun, "_sweeps", {})
+        monkeypatch.setattr(genfun, "_sweep", spying)
+        for t in (2, 3, 5):
+            assert genfun._census(t, 20) == sweep(t, 20)
+            assert genfun._census(t, 14) == sweep(t, 14)
+            assert genfun._census(t, 22) == sweep(t, 22)
+            assert genfun._census(t, 20) == sweep(t, 20)
+            assert genfun._census(t, 0) == ((((0,), 1),),)  # the empty partition
+        assert swept == [(t, order) for t in (2, 3, 5) for order in (20, 22)]
+        assert {t: len(c) for t, c in genfun._sweeps.items()} == {2: 23, 3: 23, 5: 23}
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            genfun._census(2, -1)
 
     def test_largest_modulus_census_memory(self):
         # Every word of n <= 30 is at most 31 characters, so at t = 2**20
@@ -286,7 +310,7 @@ class TestEnumerationCensus:
         # values of "", "0" and "1" only.
         tracemalloc.start()
         try:
-            genfun._census.__wrapped__(1 << 20, 30)
+            genfun._sweep(1 << 20, 30)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -314,7 +338,7 @@ class TestCensusDefectCheck:
 
         monkeypatch.setattr(genfun, "_RowSizes", Fake)
         with pytest.raises(ArithmeticError, match=r"defect of Partition\(\[3, 2, 1\]\)"):
-            genfun._census.__wrapped__(t, order)
+            genfun._sweep(t, order)
 
 
 class TestCoreSizeTotals:

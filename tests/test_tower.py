@@ -434,6 +434,41 @@ class TestSplitMemo:
         assert calls == walk + walk
 
 
+class TestCoreMemo:
+    """_levels builds each distinct core once per walk, keyed by the height
+    vector _split gives, and keeps no core from one call to the next."""
+
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_core_tower(self, monkeypatch, t):
+        lam = TestSplitMemo.repeating(t)
+        heights, built, cores = [], [], []
+        split, core = tower._split, tower._core
+
+        def splitting(abacus, t):
+            result = split(abacus, t)
+            heights.append(result[0])
+            return result
+
+        def building(h, t):
+            built.append(h)
+            cores.append(core(h, t))
+            return cores[-1]
+
+        monkeypatch.setattr(tower, "_split", splitting)
+        monkeypatch.setattr(tower, "_core", building)
+        ct = core_tower(lam, t)
+        assert ct.rows == dense_tower.core_tower_rows(lam, t)
+        walk = list(built)
+        assert len(walk) == len(set(walk)) == len(set(heights)) < len(heights)
+        # Every entry holds one of the built tuples, so equal cores share it.
+        entries = [parts for row in ct.entries for _, parts in row]
+        shared = {id(parts) for parts in entries}
+        assert shared <= set(map(id, cores))
+        assert len(shared) == len(set(entries)) < len(entries)
+        core_tower(lam, t)
+        assert built == walk + walk
+
+
 class TestDefect:
     def test_worked_example(self):
         assert defect(WORKED, 2) == 6
