@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from functools import cache
+from itertools import chain, repeat
 from typing import Iterator
 
 from mpmath import mp
@@ -25,16 +25,40 @@ from .tower import _defect, core_tower, t_core, t_quotient
 # A defect sample's shown digits plus five guard digits; with fewer, some go wrong.
 MIN_PRECISION = asymptotics.SHOWN_DIGITS + 5
 
-_INTS = re.compile("[0-9]+(?:,[0-9]+)*")
+_PIECE = 512  # characters of a text split at a time by _parse_ints
+
+
+def _pieces(text: str) -> Iterator[str]:
+    """text cut at commas into pieces of about _PIECE characters: their runs
+    are text.split(","), in order, and no more than one piece's are held at
+    once."""
+    start = 0
+    while (end := text.find(",", start + _PIECE)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
+class _Ints(dict):
+    """Each comma-separated run met so far mapped to its int, or to None
+    when it is not all digits."""
+
+    def __missing__(self, run: str) -> int | None:
+        self[run] = value = int(run) if run.isdigit() else None
+        return value
 
 
 def _parse_ints(text: str, error: str) -> tuple[int, ...]:
     """The comma-separated plain ASCII digit runs of text, else ValueError(error).
-    Each distinct run is read by int() once, in order of first appearance."""
-    if not _INTS.fullmatch(text):
-        raise ValueError(error)
-    runs = text.split(",")
-    return tuple(map({run: int(run) for run in dict.fromkeys(runs)}.__getitem__, runs))
+    Each distinct run is read by int() once, in order of first appearance,
+    and no list of all the runs is built."""
+    if text.isascii():
+        values = _Ints()
+        runs = chain.from_iterable(map(str.split, _pieces(text), repeat(",")))
+        parts = tuple(map(values.__getitem__, runs))
+        if None not in values.values():
+            return parts
+    raise ValueError(error)
 
 
 def _parse_partition(text: str) -> Partition:

@@ -10,7 +10,10 @@ The two closed forms that several checkers and CLI commands of one
 process ask for again, row_weight_series and defect_series, are memoised
 on their (j, t, order) arguments for the life of the process, so each
 divides by (q;q)_inf once per arguments.  The cached IntSeries are
-frozen, so every caller can share them.
+frozen, so every caller can share them.  The brute-force twins read one
+census sweep per t (_census), and every sweep reads the position words of
+each n from one store (_stored), so enumeration walks each n once per
+process.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, repeat, tee
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -156,13 +159,32 @@ def _census(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...]
     return _sweeps[t][: order + 1]
 
 
+# _store[n] holds the words of n for the life of the process (see _stored).
+_store: list[tuple[str, ...]] = []
+_CHUNK = 1024  # words in each stored chunk
+
+
+def _stored(n: int) -> tuple[str, ...]:
+    """The position words of the partitions of n, in the order _words(n)
+    yields them, as chunks of up to _CHUNK words joined by spaces: every
+    sweep reads them, and _words walks each n once per process.  A chunk,
+    not a tuple of words, keeps the store to the words' characters."""
+    while len(_store) <= n:
+        words = _words(len(_store))
+        chunks = []
+        while chunk := list(islice(words, _CHUNK)):
+            chunks.append(" ".join(chunk))
+        _store.append(tuple(chunks))
+    return _store[n]
+
+
 def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
     """One sweep over the partitions of n = 0..order for modulus t: for each
     n, (row sizes, count) for each distinct tuple of tower row sizes.
 
-    Integers only, so _census keeps no partitions.  The sweep shares one
-    tower._RowSizes table, order.bit_length() bits a row, dropped when it
-    ends: it maps each runner word[i::t] as sliced to its component's
+    The sweep keeps integers only; the words come from _stored.  It shares
+    one tower._RowSizes table, order.bit_length() bits a row, dropped when
+    it ends: it maps each runner word[i::t] as sliced to its component's
     (rows << bits) - t * size, so a word of n tallies as n plus one sum over
     its min(t, n + 1) runners.  Each distinct int is unpacked, and its
     defect checked, once.
@@ -171,15 +193,15 @@ def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...],
     table = _RowSizes(t, order)
     get = table.__getitem__
 
-    def tallies(n: int) -> Iterator[int]:
-        # Packed rows per word: one C-level sum over tee'd runner columns.
-        words = enumerate(tee(_words(n), min(t, n + 1)))
-        cols = (map(get, map(itemgetter(slice(i, None, t)), w)) for i, w in words)
-        return map(sum, zip(repeat(n), *cols))
+    def packed(n: int, words: list[str]) -> Iterator[int]:
+        # One C-level sum per word over its runner columns.
+        runners = (itemgetter(slice(i, None, t)) for i in range(min(t, n + 1)))
+        return map(sum, zip(repeat(n), *(map(get, map(r, words)) for r in runners)))
 
     sweep = []
     for n in range(order + 1):
-        tally = Counter(tallies(n))
+        chunks = map(str.split, _stored(n), repeat(" "))
+        tally = Counter(chain.from_iterable(packed(n, words) for words in chunks))
         census = tuple((table.sizes(p), k) for p, k in tally.items())
         for p, (sizes, _) in zip(tally, census):
             try:
@@ -187,7 +209,8 @@ def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...],
             except ArithmeticError:
                 # The check depends on (n, t, sizes) only, so it fails for
                 # every partition with these sizes: name the first one.
-                witness = next(w for w, q in zip(_words(n), tallies(n)) if q == p)
+                words = chain.from_iterable(map(str.split, _stored(n), repeat(" ")))
+                witness = next(w for w in words if next(packed(n, [w])) == p)
                 _defect(Partition._trusted(_decode(witness)), n, t, sizes)
                 raise
         sweep.append(census)

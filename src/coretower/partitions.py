@@ -4,8 +4,8 @@ Partitions are stored as explicit tuples of weakly decreasing positive
 parts; the empty tuple is the empty partition.  Every object here is an
 immutable value, so results can be shared freely between threads, and
 enumeration streams are independent per call.  Enumeration steps through
-position words (_words), which the census in genfun walks directly;
-enumerate_partitions decodes them.
+position words (_words); genfun's census stores them once per n and reads
+them back, and enumerate_partitions decodes them.
 """
 
 from __future__ import annotations

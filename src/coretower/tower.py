@@ -36,9 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .partitions import EMPTY, Partition, _decode
 
@@ -97,19 +97,31 @@ def _as_parts(abacus: _Abacus) -> tuple[int, ...]:
     return abacus if isinstance(abacus, tuple) else _decode(abacus)
 
 
-def _core(heights: Iterable[tuple[int, int]], t: int) -> tuple[int, ...]:
+def _core(charges: tuple[tuple[int, ...], tuple[int, ...]], t: int) -> tuple[int, ...]:
     """Parts of the t-core with h beads pushed down runner i, at t*g + i for
-    g < h, for each (i, h) in heights; the runners left out hold none."""
-    beads = [t * g + i for i, h in heights for g in range(h)]
+    g < h, for each i and h zipped from charges (runners, heights); the
+    runners left out hold none.  The bottom beads are the runners
+    themselves, so only the beads above them cost a step each."""
+    runners, heights = charges
+    beads = [i + t * g for i, h in zip(runners, heights) if h > 1 for g in range(1, h)]
+    beads += runners
     beads.sort(reverse=True)
     return _parts(beads)
 
 
 def _split(abacus: _Abacus, t: int) -> tuple[tuple, list]:
-    """Height vector and the (r, abacus) of each nonempty quotient component
-    r, in increasing r, of the partition with this abacus (see _abacus).
-    The heights, (i, h) in increasing i for each runner i with h > 0 beads
-    over the fewest, fix the core, _core(heights, t), as its charge vector does.
+    """Charges of the core and the (r, abacus) of each nonempty quotient
+    component r, in increasing r, of the partition with this abacus (see
+    _abacus).
+
+    The charges (runners, heights) put h beads on runner i for each i and h
+    zipped, i increasing, and none elsewhere: the core's own beta-set, with
+    no bead at position 0.  Like the core's charge vector they fix the
+    core, _core(charges, t), and are fixed by it, whatever the partition's
+    bead count.  They are the runners' bead counts less the fewest, turned:
+    the s runners below the first empty one each lose their bottom bead, at
+    0..s-1, and every bead moves down s positions, so runner i becomes
+    i - s, or t - s + i for i < s.
 
     Runner i of a word is word[i::t].  Padding its k beads up to a
     multiple of t would put -k % t beads below position 0, all zero parts,
@@ -120,9 +132,13 @@ def _split(abacus: _Abacus, t: int) -> tuple[tuple, list]:
         return _split_beads(abacus, t)
     word = abacus
     if len(word) <= t:
-        # At most one position per runner: the word is its own core, and
-        # its runners hold zero parts only.
-        return tuple(zip(map(add, _decode(word)[::-1], count()), repeat(1))), []
+        # At most one position per runner: the word is its own core, with
+        # no bead at 0, and its runners hold zero parts only.  Bead i sits
+        # above as many 0s as its part, at that plus i; the last piece,
+        # above the top bead, adds none.
+        zeros = accumulate(map(len, word.split("1")))
+        beads = tuple(map(add, zeros, count()))[:-1]
+        return (beads, (1,) * len(beads)), []
     runners = [word[i::t] for i in range(t)]  # each runner sliced once
     counts = [r.count("1") for r in runners]
     k = sum(counts) % t
@@ -132,7 +148,10 @@ def _split(abacus: _Abacus, t: int) -> tuple[tuple, list]:
         if (c := runner.lstrip("1").rstrip("0"))
     ]
     low = min(counts)  # every position below t * low holds a bead
-    return tuple((i, h) for i, c in enumerate(counts) if (h := c - low)), children
+    heights = [c - low for c in counts] if low else counts
+    if s := heights.index(0):  # the turn
+        heights = heights[s:] + [h - 1 for h in heights[:s]]
+    return (tuple(compress(count(), heights)), tuple(filter(None, heights))), children
 
 
 def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple, list]:
@@ -152,7 +171,11 @@ def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple, list]:
     children.sort()
     low = min(map(len, runners.values())) if len(runners) == t else 0
     heights = sorted((i, h) for i, run in runners.items() if (h := len(run) - low))
-    return tuple(heights), children
+    # The turn: runners 0..s-1 hold beads, and runner s none.
+    s = next((j for j, (i, _) in enumerate(heights) if i != j), len(heights))
+    turned = [(i - s, h) for i, h in heights[s:]]
+    turned += [(t - s + i, h - 1) for i, h in heights[:s] if h > 1]
+    return (tuple(i for i, _ in turned), tuple(h for _, h in turned)), children
 
 
 def t_core(lam: Partition, t: int) -> Partition:
@@ -221,7 +244,8 @@ def _levels(lam: Partition, t: int) -> Iterator[list]:
     pre-tower rows 0, 1, ...; entry i's component r is entry t*i + r below.
 
     splits maps each abacus met so far to its core and components, and cores
-    each height vector met (see _split) to its core; both go with the generator.
+    the charges of each core met (see _split) to its parts, so each distinct
+    core is built once; both go with the generator.
     """
     splits: dict[_Abacus, tuple] = {}
     cores: dict[tuple, tuple[int, ...]] = {}
@@ -231,9 +255,9 @@ def _levels(lam: Partition, t: int) -> Iterator[list]:
         for i, a in level:
             split = splits.get(a)
             if split is None:
-                heights, children = _split(a, t)
-                if (core := cores.get(heights)) is None:
-                    core = cores[heights] = _core(heights, t)
+                charges, children = _split(a, t)
+                if (core := cores.get(charges)) is None:
+                    core = cores[charges] = _core(charges, t)
                 split = splits[a] = core, children
             entries.append((i, a, *split))
         yield entries

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -629,6 +630,33 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "asympt", "defect", "--t", "2", "--samples", text)
         assert (code, out) == (2, "")
         assert err == f"error: bad sample list {text!r}\n"
+
+    @pytest.mark.parametrize(
+        "text", ["1,,2", ",1", "1,", "+1", " 1", "1_0", "\u0661", "\uff11"]
+    )
+    def test_bad_int_lists_keep_their_messages(self, capsys, text):
+        # An empty run, a sign, a space, an underscore and a digit outside
+        # ASCII: int() takes some of them, the parsers none.
+        expected = f"error: bad partition syntax {text!r}; expected comma-separated parts\n"
+        assert run_cli(capsys, "core", "--t", "2", text) == (2, "", expected)
+        argv = ("asympt", "defect", "--t", "2", "--samples", text)
+        assert run_cli(capsys, *argv) == (2, "", f"error: bad sample list {text!r}\n")
+
+    def test_a_long_int_list_parses_in_little_memory(self):
+        # 7,000 parts from 1..80: the result tuple alone is 56 KB, and at
+        # most 80 distinct runs are kept.  A regex match over the whole
+        # text held about 126 bytes per part.
+        rng = random.Random(7)
+        parts = sorted((rng.randint(1, 80) for _ in range(7000)), reverse=True)
+        text = ",".join(map(str, parts))
+        tracemalloc.start()
+        try:
+            parsed = cli._parse_ints(text, "bad")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == tuple(parts)
+        assert peak < 100_000
 
     # Each flag exists only on the commands that read it.  The message names
     # the command and the flag, never a value argparse took for a stray.

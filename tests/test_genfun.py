@@ -28,7 +28,7 @@ from coretower import (
     row_weight_series_brute,
     telescoped_row_weight_check,
 )
-from coretower import genfun, tower
+from coretower import genfun, partitions, tower
 from coretower.series import IntSeries, OrderMismatchError, mul, partition_series
 from coretower.tower import _word
 import dense_tower
@@ -314,6 +314,65 @@ class TestEnumerationCensus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestWordStore:
+    """Every sweep reads the words of n from one store that _words fills
+    once per n for the life of the process."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        walked = []
+        words = genfun._words
+
+        def spying(n):
+            walked.append(n)
+            return words(n)
+
+        monkeypatch.setattr(genfun, "_store", [])
+        monkeypatch.setattr(genfun, "_sweeps", {})
+        monkeypatch.setattr(genfun, "_words", spying)
+        return walked
+
+    def test_each_n_is_walked_once(self, monkeypatch):
+        walked = self.spy(monkeypatch)
+        for t in (2, 3, 4, 5):
+            genfun._census(t, 30)
+        assert walked == list(range(31))
+        genfun._census(2, 34)
+        assert walked == list(range(35))
+
+    def test_chunks_hold_the_words_in_enumeration_order(self, monkeypatch):
+        self.spy(monkeypatch)
+        for n in range(24):
+            chunks = genfun._stored(n)
+            words = [w for chunk in chunks for w in chunk.split(" ")]
+            assert words == list(partitions._words(n))
+            assert all(len(c.split(" ")) == genfun._CHUNK for c in chunks[:-1])
+        assert partition_count(23) > genfun._CHUNK  # so n = 23 has two chunks
+
+    def test_cold_and_warm_stores_sweep_alike(self, monkeypatch):
+        order = 22
+        self.spy(monkeypatch)
+        for t in range(2, 8):
+            genfun._store.clear()
+            cold = genfun._sweep(t, order)
+            assert genfun._sweep(t, order) == cold
+            for n in range(order + 1):
+                assert sorted(cold[n]) == TestEnumerationCensus.dense_tally(t, n)
+
+    def test_largest_modulus_census_memory_from_a_cold_store(self, monkeypatch):
+        # The store of n <= 30, 506,748 characters, is made inside the
+        # traced sweep; as one string per word it would pass the bound.
+        self.spy(monkeypatch)
+        tracemalloc.start()
+        try:
+            genfun._sweep(1 << 20, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(c) for chunks in genfun._store for c in chunks) > 500_000
         assert peak < 1 << 20
 
 

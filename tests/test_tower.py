@@ -274,6 +274,17 @@ class TestSparseWalk:
         assert core_tower(lam, t).rows == ((lam,),)
         assert pre_tower_row(lam, t, 1) == (EMPTY,) * t
 
+    def test_largest_modulus_on_a_long_word_no_longer_than_t(self):
+        # A 1,016,000-character word: each of the 16,000 beads is alone on
+        # its runner, so lam is its own core and every component is empty.
+        # One dense split, which pads to 2**20 beads, settles all three.
+        lam, t = Partition((1000000,) + tuple(range(15999, 0, -1))), 1 << 20
+        core, quotient = dense_tower.split(lam, t)
+        assert (core, quotient) == (lam, (EMPTY,) * t)
+        assert t_core(lam, t) == core
+        assert t_quotient(lam, t) == quotient
+        assert core_tower(lam, t).rows == ((core,),)
+
     @staticmethod
     def check_sparse(lam, t):
         # Rows as {index: partition} of their nonempty entries, from
@@ -467,6 +478,43 @@ class TestCoreMemo:
         assert len(shared) == len(set(entries)) < len(entries)
         core_tower(lam, t)
         assert built == walk + walk
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 7])
+    def test_charges_fix_the_core(self, t):
+        # From a word or a bead list, whatever the bead count: one core,
+        # one key, and the key builds that core.
+        keys = {}
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                core = dense_tower.split(lam, t)[0].parts
+                for abacus in (tower._word(lam.parts), lam.parts):
+                    charges = tower._split(abacus, t)[0]
+                    assert keys.setdefault(core, charges) == charges
+                    assert tower._core(charges, t) == core
+
+    @pytest.mark.parametrize("parts, t", [((3, 2), 2), ((2, 2), 3), ((4, 3, 1), 3)])
+    def test_one_core_from_two_residues(self, monkeypatch, parts, t):
+        # Each of these walks meets some core on abacuses whose bead counts
+        # lie in two residues mod t; it is still built once.
+        lam = Partition(parts)
+        met, built = {}, []
+        split, core = tower._split, tower._core
+
+        def splitting(abacus, t):
+            beads = len(abacus) if isinstance(abacus, tuple) else abacus.count("1")
+            result = split(abacus, t)
+            met.setdefault(core(result[0], t), set()).add(beads % t)
+            return result
+
+        def building(charges, t):
+            built.append(core(charges, t))
+            return built[-1]
+
+        monkeypatch.setattr(tower, "_split", splitting)
+        monkeypatch.setattr(tower, "_core", building)
+        assert core_tower(lam, t).rows == dense_tower.core_tower_rows(lam, t)
+        assert max(map(len, met.values())) > 1
+        assert sorted(built) == sorted(met)
 
 
 class TestDefect:
