@@ -183,9 +183,8 @@ def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...],
     n, (row sizes, count) for each distinct tuple of tower row sizes.
 
     The sweep keeps integers only; the words come from _stored.  It shares
-    one tower._RowSizes table, order.bit_length() bits a row, dropped when
-    it ends: it maps each runner word[i::t] as sliced to its component's
-    (rows << bits) - t * size, so a word of n tallies as n plus one sum over
+    one tower._RowSizes table, in the packed row format of tower's module
+    docstring, dropped when it ends, so a word of n tallies as one sum over
     its min(t, n + 1) runners.  Each distinct int is unpacked, and its
     defect checked, once.
     """

@@ -14,16 +14,18 @@ where a bead sits at position b.  Runner r is the slice word[r::t], a
 runner's bead count is its number of 1s, and the number of 0s below a
 1 is its part, so cores, quotients and towers come from string
 operations, with no loop over the beads.  A word has one character per
-position, largest part plus number of parts in all, so a partition whose
-largest part is far above its number of parts is split from its bead
-list instead (see _abacus), in time and memory that grow with its
-length alone.
+position, largest part plus number of parts in all, so a partition with
+fewer parts than t, or whose largest part is far above its number of
+parts, is split from its bead list instead (see _abacus), in time and
+memory that grow with its length alone.  One walk, _levels, serves every
+tower statistic: the tower row sizes sum the cores it builds.
 
-Tower row sizes are packed in one int (_RowSizes), row j at bit j * bits
-for sizes up to n < 2**bits: no row, nor sum of component sizes, passes n,
-so no digit carries.  Its table maps a runner word[i::t] as sliced to its
-component's whole share of the packed rows, (rows << bits) - t * size, so
-a partition of n packs as n plus the sum of its runners' values.
+The enumeration census (genfun._sweep) packs the row sizes of a partition
+of n in one int (_RowSizes), row j at bit j * bits for sizes up to
+n < 2**bits: no row, nor sum of component sizes, passes n, so no digit
+carries.  Its table maps a runner word[i::t] as sliced to its component's
+whole share of the packed rows, (rows << bits) - t * size, so a partition
+of n packs as n plus the sum of its runners' values.
 
 Convention fixed here: bead counts are always normalised up to a multiple
 of t before reading off cores and quotients.  This pins down the order of
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import add, mul, sub
 from typing import Iterator, Sequence
 
@@ -84,11 +86,12 @@ def _word(parts: tuple[int, ...]) -> str:
     return "1".join(map(mul, repeat("0"), gaps)) + "1"
 
 
-def _abacus(parts: tuple[int, ...]) -> _Abacus:
-    """What _split takes for the partition with these parts: its position
-    word, or the parts themselves when the largest is at least _SPARSE
-    times their number."""
-    if parts and parts[0] >= _SPARSE * len(parts):
+def _abacus(parts: tuple[int, ...], t: int) -> _Abacus:
+    """What _split takes for the partition with these parts at modulus t:
+    the parts themselves when there are fewer than t of them, or when the
+    largest is at least _SPARSE times their number; else its position
+    word."""
+    if len(parts) < t or parts[0] >= _SPARSE * len(parts):
         return parts
     return _word(parts)
 
@@ -126,20 +129,14 @@ def _split(abacus: _Abacus, t: int) -> tuple[tuple, list]:
     Runner i of a word is word[i::t].  Padding its k beads up to a
     multiple of t would put -k % t beads below position 0, all zero parts,
     so runner i is runner (i - k) % t of the convention, and the pad beads
-    only lengthen the run of 1s at its bottom, which is stripped.
+    only lengthen the run of 1s at its bottom, which is stripped.  A word
+    no longer than t, such as a short component, is split from its parts,
+    so the t runners of a word, each sliced once, never outnumber its
+    characters.
     """
-    if isinstance(abacus, tuple):
-        return _split_beads(abacus, t)
-    word = abacus
-    if len(word) <= t:
-        # At most one position per runner: the word is its own core, with
-        # no bead at 0, and its runners hold zero parts only.  Bead i sits
-        # above as many 0s as its part, at that plus i; the last piece,
-        # above the top bead, adds none.
-        zeros = accumulate(map(len, word.split("1")))
-        beads = tuple(map(add, zeros, count()))[:-1]
-        return (beads, (1,) * len(beads)), []
-    runners = [word[i::t] for i in range(t)]  # each runner sliced once
+    if isinstance(abacus, tuple) or len(abacus) <= t:
+        return _split_beads(_as_parts(abacus), t)
+    runners = [abacus[i::t] for i in range(t)]
     counts = [r.count("1") for r in runners]
     k = sum(counts) % t
     children = [
@@ -158,13 +155,18 @@ def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple, list]:
     """_split for a partition kept as its k parts, in O(k log k): bead b
     goes on runner b % t at height b // t, and each component is kept as
     _abacus chooses.  Only occupied runners are visited, and the fewest
-    beads on a runner is 0 unless all t are."""
+    beads on a runner is 0 unless all t are.  With its top bead below t,
+    each bead is alone at the bottom of its runner, none at 0: the
+    partition is its own core, and has no components."""
     k = len(parts)
+    if not parts or parts[0] + k <= t:
+        beads = tuple(_beads(parts, k))[::-1]
+        return (beads, (1,) * k), []
     runners: dict[int, list[int]] = {}
     for q, i in map(divmod, _beads(parts, k), repeat(t)):
         runners.setdefault(i, []).append(q)
     children = [
-        ((i - k) % t, _abacus(child))
+        ((i - k) % t, _abacus(child, t))
         for i, run in runners.items()
         if (child := _parts(run))
     ]
@@ -181,7 +183,7 @@ def _split_beads(parts: tuple[int, ...], t: int) -> tuple[tuple, list]:
 def t_core(lam: Partition, t: int) -> Partition:
     """The t-core of lam: no hook length of the result is divisible by t."""
     _check_modulus(t)
-    return Partition._trusted(_core(_split(_abacus(lam.parts), t)[0], t))
+    return Partition._trusted(_core(_split(_abacus(lam.parts, t), t)[0], t))
 
 
 def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
@@ -191,7 +193,7 @@ def t_quotient(lam: Partition, t: int) -> tuple[Partition, ...]:
     identity |lam| = |core| + t * (total quotient size) always holds.
     """
     _check_modulus(t)
-    children = _split(_abacus(lam.parts), t)[1]
+    children = _split(_abacus(lam.parts, t), t)[1]
     return _row(t, 1, ((r, _as_parts(child)) for r, child in children))
 
 
@@ -249,7 +251,7 @@ def _levels(lam: Partition, t: int) -> Iterator[list]:
     """
     splits: dict[_Abacus, tuple] = {}
     cores: dict[tuple, tuple[int, ...]] = {}
-    level = [(0, _abacus(lam.parts))]
+    level = [(0, _abacus(lam.parts, t))]
     while level:
         entries = []
         for i, a in level:
@@ -321,30 +323,20 @@ def core_tower(lam: Partition, t: int) -> CoreTower:
 
 
 class _RowSizes(dict):
-    """Packed row sizes (module docstring) for modulus t and sizes <= n: a
-    table keyed by runners and _split_beads' child abacuses."""
+    """The census table (module docstring) for modulus t and sizes <= n:
+    each runner word[i::t], as sliced, to its component's share of the
+    packed rows.  A component packs as its size plus its own runners'
+    values; past its length they are empty."""
 
     def __init__(self, t: int, n: int):
         self.t, self.bits = t, n.bit_length()
 
-    def __missing__(self, key: _Abacus) -> int:
-        child = key if isinstance(key, tuple) else key.lstrip("1").rstrip("0")
-        size = sum(_as_parts(child))
-        self[key] = value = (self.rows(child, size) << self.bits) - self.t * size
+    def __missing__(self, runner: str) -> int:
+        t, child = self.t, runner.lstrip("1").rstrip("0")
+        size = sum(_decode(child))
+        rows = size + sum(self[child[i::t]] for i in range(min(t, len(child))))
+        self[runner] = value = (rows << self.bits) - t * size
         return value
-
-    def rows(self, abacus: _Abacus, size: int) -> int:
-        """Packed rows of the partition of this size and abacus: its size
-        plus the values of its runners, or of its nonempty components."""
-        t = self.t
-        if isinstance(abacus, tuple):
-            runners = (child for _, child in _split_beads(abacus, t)[1])
-        elif len(abacus) <= t:
-            return size  # its own core: see _split
-        else:  # t slices, made one at a time and none kept
-            cuts = map(slice, range(t), repeat(None), repeat(t))
-            runners = map(abacus.__getitem__, cuts)
-        return size + sum(map(self.__getitem__, runners))
 
     def sizes(self, packed: int) -> tuple[int, ...]:
         """Row 0 up to the tower height, from packed rows."""
@@ -354,10 +346,10 @@ class _RowSizes(dict):
 
 def tower_row_sizes(lam: Partition, t: int) -> tuple[int, ...]:
     """Total size of each tower row, row 0 up to the tower height, as in
-    core_tower(lam, t).row_sizes, summed packed by _RowSizes; no core."""
+    core_tower(lam, t).row_sizes: the sizes of the cores _levels builds,
+    summed level by level, with no row materialised."""
     _check_modulus(t)
-    kernel = _RowSizes(t, lam.size)
-    return kernel.sizes(kernel.rows(_abacus(lam.parts), lam.size))
+    return tuple(sum(sum(core) for _, _, core, _ in level) for level in _levels(lam, t))
 
 
 def row_size(lam: Partition, t: int, j: int) -> int:
@@ -393,4 +385,6 @@ def is_generalized_core(lam: Partition, j: int, t: int) -> bool:
     """
     if j < 0:
         raise ValueError("row index j must be nonnegative")
-    return len(tower_row_sizes(lam, t)) <= j + 1
+    _check_modulus(t)
+    # The walk stops once it has split row j + 1, or found it empty.
+    return next(islice(_levels(lam, t), j + 1, None), None) is None

@@ -266,14 +266,16 @@ class TestEnumerationCensus:
         for n in range(19):
             assert sorted(sweep[n]) == self.dense_tally(t, n)
 
-    @pytest.mark.parametrize("n", [31, 32, 33])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 33])
     def test_census_across_a_step_in_the_digit_width(self, n):
-        # A sweep to order n packs each row in n.bit_length() bits: 5 up to
-        # order 31, 6 from order 32 on.  At t = 2 no row here passes 28, the
-        # largest 2-core size, so t = n adds rows of n: all 1s at n = 31,
-        # the top bit alone at n = 32.  Fresh sweeps, so that no longer
-        # sweep kept by _census serves these orders in other digits.
-        for t in (2, n):
+        # A sweep to order n packs each row in n.bit_length() bits (see
+        # tower's module docstring): k bits up to order 2**k - 1, one more
+        # from 2**k on.  At t = 2 no row to order 32 passes 28, the largest
+        # 2-core size, so t = max(2, n) adds rows of n, from the t-cores of
+        # n (none at n = 2): all 1s at n = 2**k - 1, the top bit alone at
+        # n = 2**k.  Fresh sweeps, so that no longer sweep kept by _census
+        # serves these orders in other digits.
+        for t in sorted({2, max(2, n)}):
             assert sorted(genfun._sweep(t, n)[n]) == self.dense_tally(t, n)
         if n == 33:
             # n = 31 again, now in 6-bit digits: at t = 31 row 0 is 31,

@@ -199,8 +199,10 @@ class TestTower:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_row_sizes_exact_when_a_row_fills_its_digit(self, k):
-        # Row sizes are packed in n.bit_length() bits each: at n = 2**k - 1
-        # a row of n is all 1s, and at n = 2**k it is the top bit alone.
+        # At n = 2**k - 1 and 2**k, where the census packs a row of n as
+        # all 1s of its digit or as its top bit alone (see test_genfun's
+        # digit-width test), the walk's sums are checked against the
+        # dense tower.
         for n in (2**k - 1, 2**k):
             assert tower_row_sizes(Partition((n,)), n + 1) == (n,)
             for a in range(1, n + 1):
@@ -258,8 +260,8 @@ class TestSparseWalk:
         self.check(EMPTY, t)
 
     def test_modulus_above_the_size(self):
-        # t > |lam| >= len(word) - 1: each runner of lam's position word
-        # holds at most one position, and lam is its own t-core.
+        # t > |lam|: lam has fewer parts than t and its top bead is below
+        # t, so each bead is alone on its runner and lam is its own t-core.
         for n in range(7):
             for lam in enumerate_partitions(n):
                 for t in range(max(2, n + 1), n + 4):
@@ -275,9 +277,10 @@ class TestSparseWalk:
         assert pre_tower_row(lam, t, 1) == (EMPTY,) * t
 
     def test_largest_modulus_on_a_long_word_no_longer_than_t(self):
-        # A 1,016,000-character word: each of the 16,000 beads is alone on
-        # its runner, so lam is its own core and every component is empty.
-        # One dense split, which pads to 2**20 beads, settles all three.
+        # A 1,016,000-character word, split from its 16,000 beads since
+        # they are fewer than t: each is alone on its runner, so lam is its
+        # own core and every component is empty.  One dense split, which
+        # pads to 2**20 beads, settles all three.
         lam, t = Partition((1000000,) + tuple(range(15999, 0, -1))), 1 << 20
         core, quotient = dense_tower.split(lam, t)
         assert (core, quotient) == (lam, (EMPTY,) * t)
@@ -340,6 +343,30 @@ class TestSparseWalk:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_words_no_longer_than_t_are_split_as_parts(self, monkeypatch):
+        # Each such word, a component here, is its own core; sliced into t
+        # runners, it would make more slices than it has characters.
+        calls = TestSplitMemo.spy(monkeypatch)
+        split_beads = tower._split_beads
+
+        def spying(parts, t):
+            calls.append(parts)
+            return split_beads(parts, t)
+
+        monkeypatch.setattr(tower, "_split_beads", spying)
+        for t in (2, 3, 4):
+            calls.clear()
+            for n in range(13):
+                for lam in enumerate_partitions(n):
+                    core_tower(lam, t)
+            # Each _split call is logged before the _split_beads call it makes.
+            short = [
+                (a, after)
+                for a, after in zip(calls, calls[1:] + [None])
+                if isinstance(a, str) and len(a) <= t
+            ]
+            assert short and all(after == tower._decode(a) for a, after in short)
+
     def test_row_guard_boundary(self):
         assert len(pre_tower_row(EMPTY, 2, 20)) == 1 << 20
         for j in (21, 10**9):  # 2**(10**9) is never built
@@ -347,19 +374,34 @@ class TestSparseWalk:
                 pre_tower_row(EMPTY, 2, j)
 
     def test_memory_of_a_long_word_at_a_large_modulus(self):
-        # Its word has 72001 characters, more than t, so all 2**16 runners
-        # are sliced: one at a time, none kept.  Bead 72000, at height 1
-        # of runner 6464 and alone there, slides down to 6464: the core is
-        # (4464, 1, ..., 1) and the quotient the single cell (1).
+        # Its word would have 72001 characters, more than t, but its 2001
+        # parts are fewer than t, so it is split from its bead list and no
+        # runner is sliced.  Bead 72000, at height 1 of runner 6464 and
+        # alone there, slides down to 6464: the core is (4464, 1, ..., 1)
+        # and the quotient the single cell (1), component (6464 - 2001) % t.
         lam, t = Partition((70000,) + (1,) * 2000), 1 << 16
+        core = Partition((4464,) + (1,) * 2000)
         tracemalloc.start()
         try:
             assert tower_row_sizes(lam, t) == (6464, 1)
+            assert core_tower(lam, t).entries == (((0, core.parts),), ((4463, (1,)),))
+            assert t_core(lam, t) == core
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert core_tower(lam, t).row_sizes == (6464, 1)
+        # Likewise 20000 parts at t = 2**20: bead 1119999 slides from
+        # height 1 of runner 71423 to its bottom.  Sliced into t runners,
+        # its 1,120,000-character word would peak near 83 MiB; its beads
+        # take about 6 MiB.
+        lam, t = Partition((1100000,) + (1,) * 19999), 1 << 20
+        tracemalloc.start()
+        try:
+            assert t_core(lam, t) == Partition((51424,) + (1,) * 19999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestSparseTower:
@@ -568,3 +610,24 @@ class TestGeneralizedCores:
     def test_rejects_negative_j(self):
         with pytest.raises(ValueError):
             is_generalized_core(WORKED, -1, 2)
+
+    def test_rejects_a_bad_modulus(self):
+        for t in (1, (1 << 20) + 1):
+            with pytest.raises(ValueError, match="modulus"):
+                is_generalized_core(WORKED, 0, t)
+
+    def test_walk_stops_at_row_j_plus_one(self, monkeypatch):
+        # A chain of quotients six rows deep, one new partition a row: the
+        # walk for j splits the entries of pre-tower rows 0..j+1 and no
+        # entry of a row below.
+        lam = Partition((1,))
+        for _ in range(5):
+            lam = reconstruct(Partition((1,)), (lam, EMPTY), 2)
+        rows = list(islice(dense_tower.pre_tower_rows(lam, 2), 7))
+        assert [sum(map(bool, row)) for row in rows] == [1] * 6 + [0]
+        calls = TestSplitMemo.spy(monkeypatch)
+        for j in range(7):
+            calls.clear()
+            assert is_generalized_core(lam, j, 2) == (j >= 5)
+            met = {tower._as_parts(a) for a in calls}
+            assert met == {p.parts for row in rows[: j + 2] for p in row if p}
