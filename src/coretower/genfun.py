@@ -6,11 +6,10 @@ of each size and measuring them directly.  compare_series() walks the two
 coefficient lists and reports the first mismatch, if any; the congruence,
 recursion, and monotonicity checkers produce the same report type.
 
-The two closed forms that several checkers and CLI commands of one
-process ask for again, row_weight_series and defect_series, are memoised
-on their (j, t, order) arguments for the life of the process, so each
-divides by (q;q)_inf once per arguments.  The cached IntSeries are
-frozen, so every caller can share them.  The brute-force twins read one
+Every closed form is a numerator over (q;q)_inf, and keeps one quotient
+per arguments but the order for the life of the process (see _over_eta):
+each coefficient of a form is divided once per process, whichever orders
+its callers ask for, and in whatever sequence.  The brute-force twins read one
 census sweep per t (_census), and every sweep reads the position words of
 each n from one store (_stored), so enumeration walks each n once per
 process.
@@ -20,14 +19,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from itertools import chain, count, islice, repeat
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .partitions import Partition, _decode, _words, partition_count
 from .series import (
     IntSeries,
+    _divide,
     _require_same_order,
     _shown,
     divisor_sum_series,
@@ -123,19 +123,43 @@ def _check_params(t: int, j: int = 0, order: int = 0) -> None:
         raise ValueError("truncation order must be nonnegative")
 
 
-def _sigma_over_eta(order: int, weights: Iterable[tuple[int, int]]) -> IntSeries:
-    """(Sum of c S(q**m) over the pairs (m, c) with m <= order) / (q;q)_inf,
-    with S the divisor-sum series; a pair with m > order vanishes below the
+def _sigma(order: int, weights: Iterable[tuple[int, int]]) -> IntSeries:
+    """The sum of c S(q**m) over the pairs (m, c) with m <= order, with S
+    the divisor-sum series; a pair with m > order vanishes below the
     truncation."""
     g = divisor_sum_series(order).coeffs
     num = [0] * (order + 1)
     for m, c in weights:
         if m <= order:
             num[::m] = [a + c * s for a, s in zip(num[::m], g)]
-    return div(IntSeries(tuple(num)), euler_product(order))
+    return IntSeries(tuple(num))
 
 
-@lru_cache(maxsize=None, typed=True)
+def _over_eta(numerator: Callable[..., IntSeries]) -> Callable[..., IntSeries]:
+    """The closed form numerator(*args) / (q;q)_inf, args ending in (t, order).
+
+    The quotient for args but the order is kept for the process, at the
+    highest order asked: a lower order is read off it, a higher one divides
+    on from the last kept coefficient, as a numerator at a lower order is a
+    prefix of the one at a higher order (capped powers of t included).  Args
+    must be integers before the lookup: 2.0 == 2 would find t = 2's quotient.
+    """
+    kept: dict[tuple[int, ...], list[int]] = {}
+
+    @wraps(numerator)
+    def closed_form(*args: int) -> IntSeries:
+        *head, t, order = args = tuple(map(index, args))
+        _check_params(t, *head, order=order)
+        out = kept.setdefault(args[:-1], [])
+        if len(out) <= order:
+            _divide(out, numerator(*args).coeffs, euler_product(order).coeffs)
+        return IntSeries(tuple(out[: order + 1]))
+
+    closed_form.cache_clear = kept.clear
+    return closed_form
+
+
+@_over_eta
 def row_weight_series(j: int, t: int, order: int) -> IntSeries:
     """Closed form for the series whose coefficient of q**n is the total
     size of tower row j over all partitions of n.
@@ -144,9 +168,8 @@ def row_weight_series(j: int, t: int, order: int) -> IntSeries:
     with S the divisor-sum series.  The power t**j is capped at
     t**order.bit_length(), which already exceeds the order.
     """
-    _check_params(t, j, order)
     m = t ** min(j, order.bit_length())
-    return _sigma_over_eta(order, ((m, m), (t * m, -t * t * m)))
+    return _sigma(order, ((m, m), (t * m, -t * t * m)))
 
 
 _sweeps: dict[int, tuple] = {}  # the one census sweep kept for each t
@@ -229,16 +252,15 @@ def row_weight_series_brute(j: int, t: int, order: int) -> IntSeries:
     return _enumerated(t, order, lambda n, sizes: sizes[j] if j < len(sizes) else 0)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_over_eta
 def defect_series(t: int, order: int) -> IntSeries:
     """Closed form for the series of total defects of all partitions of n.
 
     The numerator sums t**k S(q**(t**k)) over k >= 1 while t**k fits below
     the truncation order; that cutoff is exact, not an approximation.
     """
-    _check_params(t, order=order)
     powers = (t**k for k in range(1, order.bit_length() + 1))
-    return _sigma_over_eta(order, ((m, m) for m in powers))
+    return _sigma(order, ((m, m) for m in powers))
 
 
 def defect_series_brute(t: int, order: int) -> IntSeries:
@@ -246,6 +268,7 @@ def defect_series_brute(t: int, order: int) -> IntSeries:
     return _enumerated(t, order, lambda n, sizes: _defect(None, n, t, sizes))
 
 
+@_over_eta
 def generalized_core_series(j: int, t: int, order: int) -> IntSeries:
     """Closed form counting partitions whose pre-tower row j+1 is empty.
 
@@ -253,9 +276,8 @@ def generalized_core_series(j: int, t: int, order: int) -> IntSeries:
     it is the classical t-core counting series.  Past the order, where T is
     capped as in row_weight_series, the numerator is 1.
     """
-    _check_params(t, j, order)
     T = t ** min(j + 1, order.bit_length())
-    return div(pochhammer_inf(T, T, order), euler_product(order))
+    return pochhammer_inf(T, T, order)
 
 
 def generalized_core_series_brute(j: int, t: int, order: int) -> IntSeries:
@@ -292,11 +314,11 @@ def core_size_totals(t: int, order: int) -> list[int]:
     return list(row_weight_series(0, t, order).coeffs)
 
 
+@_over_eta
 def regular_partition_series(t: int, order: int) -> IntSeries:
     """Counts of partitions with no part divisible by t, from the product
     (q**t; q**t)_inf / (q; q)_inf."""
-    _check_params(t, order=order)
-    return div(pochhammer_inf(t, 1, order), euler_product(order))
+    return pochhammer_inf(t, 1, order)
 
 
 def check_congruence(t: int, order: int, claim: str = "both") -> VerificationReport:
@@ -369,5 +391,5 @@ def telescoped_row_weight_check(t: int, j: int, order: int) -> VerificationRepor
     for k in range(min(j, order.bit_length()) + 1):
         lhs = lhs + (t**k) * row_weight_series(k, t, order)
     m = t ** min(j + 1, order.bit_length())
-    rhs = _sigma_over_eta(order, ((1, 1), (m, -m * m)))
+    rhs = div(_sigma(order, ((1, 1), (m, -m * m))), euler_product(order))
     return compare_series("telescoped-row-weights", lhs, rhs, t=t, j=j)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from typing import Sequence
 
 
 class OrderMismatchError(ValueError):
@@ -136,20 +136,33 @@ def div(a: IntSeries, b: IntSeries) -> IntSeries:
     Satisfies mul(div(a, b), b) == a up to the truncation order; the unit
     constant term keeps every intermediate value an integer.
     """
-    n = _require_same_order(a, b)
-    b0 = b.coeffs[0]
+    _require_same_order(a, b)
+    return IntSeries(tuple(_divide([], a.coeffs, b.coeffs)))
+
+
+def _divide(out: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Extends out, the first coefficients of a/b, through a's last one.
+
+    Coefficient m takes off, for each value v of b's terms past the constant,
+    v times one C-level sum of out[m - k] over their k <= m.  Appending keeps
+    out[m - k] at out[-k], so each value's index list grows by -k once m
+    reaches k: for (q;q)_inf, two lists, at the pentagonal numbers.
+    """
+    b0 = b[0]
     if b0 not in (1, -1):
         raise ValueError(f"divisor constant coefficient must be +1 or -1, got {b0}")
-    sparse = [(k, bk) for k, bk in enumerate(b.coeffs) if k and bk]
-    out = [0] * (n + 1)
-    for m in range(n + 1):
-        acc = a.coeffs[m]
-        for k, bk in sparse:
-            if k > m:
-                break
-            acc -= bk * out[m - k]
-        out[m] = acc if b0 == 1 else -acc
-    return IntSeries(tuple(out))
+    terms = [(k, bk) for k, bk in enumerate(b[: len(a)]) if k and bk][::-1]
+    groups: dict[int, list[int]] = {}
+    get = out.__getitem__
+    for m in range(len(out), len(a)):
+        while terms and terms[-1][0] <= m:
+            k, bk = terms.pop()
+            groups.setdefault(bk, []).append(-k)
+        acc = a[m]
+        for v, idx in groups.items():
+            acc -= v * sum(map(get, idx))
+        out.append(acc if b0 == 1 else -acc)
+    return out
 
 
 def truncate(a: IntSeries, order: int) -> IntSeries:
@@ -235,23 +248,16 @@ def partition_series(order: int) -> IntSeries:
     return div(series_one(order), euler_product(order))
 
 
-def divisor_sum(n: int) -> int:
-    """sigma_1(n), the sum of the divisors of n >= 1, by trial division to sqrt(n)."""
-    s = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            s += d
-            if d != n // d:
-                s += n // d
-    return s
-
-
 @lru_cache(maxsize=None)
 def divisor_sum_series(order: int) -> IntSeries:
-    """Sum over n >= 1 of sigma_1(n) q**n, computed by per-n divisor sums."""
+    """Sum over n >= 1 of sigma_1(n) q**n, sieved: each d adds itself to
+    the coefficients of its multiples, O(order log order) in all."""
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    return IntSeries((0,) + tuple(divisor_sum(n) for n in range(1, order + 1)))
+    s = [0] * (order + 1)
+    for d in range(1, order + 1):
+        s[d::d] = [x + d for x in s[d::d]]
+    return IntSeries(tuple(s))
 
 
 def to_json_dict(a: IntSeries) -> dict:

@@ -356,8 +356,10 @@ def row_size(lam: Partition, t: int, j: int) -> int:
     """Total size of tower row j; zero beyond the tower height."""
     if j < 0:
         raise ValueError("row index j must be nonnegative")
-    sizes = tower_row_sizes(lam, t)
-    return sizes[j] if j < len(sizes) else 0
+    _check_modulus(t)
+    # The walk stops once it has split row j, or run out of rows.
+    level = next(islice(_levels(lam, t), j, None), ())
+    return sum(sum(core) for _, _, core, _ in level)
 
 
 def _defect(lam: Partition | None, n: int, t: int, sizes: Sequence[int]) -> int:

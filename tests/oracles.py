@@ -2,10 +2,12 @@
 
 Each computes a result the library also computes, by a route that shares
 none of its code: rim-hook deletion on the part lists instead of the
-abacus, the Lambert form of the divisor-sum series, enumeration of the
-partitions with no part divisible by t, and the schoolbook Cauchy product
-in place of the packed one.
+abacus, trial division and the Lambert form in place of the sieved
+divisor sums, enumeration of the partitions with no part divisible by t,
+and the schoolbook Cauchy product in place of the packed one.
 """
+
+from math import isqrt
 
 from coretower import IntSeries, Partition, enumerate_partitions
 
@@ -50,6 +52,17 @@ def t_core_by_rim_hooks(lam: Partition, t: int) -> Partition:
         if not hooks:
             return current
         current = max(hooks, key=lambda h: (h[0], h[1]))[2]
+
+
+def divisor_sum(n: int) -> int:
+    """sigma_1(n), the sum of the divisors of n >= 1, by trial division to sqrt(n)."""
+    s = 0
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            s += d
+            if d != n // d:
+                s += n // d
+    return s
 
 
 def divisor_sum_series_lambert(order: int) -> IntSeries:

@@ -403,30 +403,38 @@ class TestVerifyCommand:
 class TestClosedFormsBuiltOnce:
     def test_each_quotient_is_divided_once_per_process(self, capsys, monkeypatch):
         genfun = cli.genfun
-        genfun.row_weight_series.cache_clear()
-        genfun.defect_series.cache_clear()
-        divisions = []
-        div = genfun.div
+        for form in (
+            genfun.row_weight_series,
+            genfun.defect_series,
+            genfun.regular_partition_series,
+        ):
+            form.cache_clear()
+        divided = []
+        divide = genfun._divide
 
-        def counted_div(a, b):
-            divisions.append(a.truncation_order)
-            return div(a, b)
+        def counted_divide(out, a, b):
+            divided.append(len(a) - len(out))
+            return divide(out, a, b)
 
-        monkeypatch.setattr(genfun, "div", counted_div)
-        # (argv, divisions so far): congruence divides for T_0 once for both
-        # of its reports, recursion only for the regular series (not
-        # cached: nothing else asks for it), monotone for D, and the series
-        # commands reuse T_0 and D.
+        monkeypatch.setattr(genfun, "_divide", counted_divide)
+        # (argv, coefficients divided so far): congruence divides T_0 once
+        # for both of its reports, recursion only the regular series,
+        # monotone D, and the series commands reuse T_0 and D.  A higher
+        # order divides only the coefficients past the kept ones; a lower
+        # one divides none.
         steps = [
-            (("verify", "congruence", "--t", "3", "--order", "60"), 1),
-            (("verify", "recursion", "--t", "3", "--order", "60"), 2),
-            (("verify", "monotone", "--t", "3", "--order", "60"), 3),
-            (("series", "D", "--t", "3", "--order", "60"), 3),
-            (("series", "T", "--j", "0", "--t", "3", "--order", "60"), 3),
+            (("verify", "congruence", "--t", "3", "--order", "60"), 61),
+            (("verify", "recursion", "--t", "3", "--order", "60"), 122),
+            (("verify", "monotone", "--t", "3", "--order", "60"), 183),
+            (("series", "D", "--t", "3", "--order", "60"), 183),
+            (("series", "T", "--j", "0", "--t", "3", "--order", "60"), 183),
+            (("series", "T", "--j", "0", "--t", "3", "--order", "120"), 243),
+            (("verify", "recursion", "--t", "3", "--order", "30"), 243),
+            (("verify", "congruence", "--t", "3", "--order", "120"), 243),
         ]
         for argv, total in steps:
             run_cli(capsys, *argv)
-            assert len(divisions) == total, argv
+            assert sum(divided) == total, argv
 
 
 class TestAsymptCommand:

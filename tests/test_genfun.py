@@ -1,10 +1,13 @@
 import random
 import tracemalloc
 from collections import Counter
+from functools import cache
 from itertools import count
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from coretower import (
     EMPTY,
@@ -29,7 +32,14 @@ from coretower import (
     telescoped_row_weight_check,
 )
 from coretower import genfun, partitions, tower
-from coretower.series import IntSeries, OrderMismatchError, mul, partition_series
+from coretower.series import (
+    IntSeries,
+    OrderMismatchError,
+    div,
+    euler_product,
+    mul,
+    partition_series,
+)
 from coretower.tower import _word
 import dense_tower
 from core_totals import first_nonvanishing_multiple
@@ -250,6 +260,7 @@ class TestEnumerationCensus:
         assert defect_series_brute(t, order).coeffs == (0,) * (order + 1)
 
     @staticmethod
+    @cache
     def dense_tally(t, n):
         """(row sizes, count) pairs of the partitions of n, sorted, from the
         dense tower oracle."""
@@ -573,16 +584,64 @@ class TestRegularPartitionBrute:
             )
 
 
+def _cold(fn, *args):
+    """fn(*args) as one division of its numerator, with nothing kept."""
+    return div(fn.__wrapped__(*args), euler_product(args[-1]))
+
+
+# Each closed form called as f(j, t, order); D and the regular series ignore j.
+CLOSED_FORMS = {
+    "T": row_weight_series,
+    "D": defect_series,
+    "cores": generalized_core_series,
+    "regular": regular_partition_series,
+}
+
+
+def _args(name, j, t, order):
+    return (t, order) if name in ("D", "regular") else (j, t, order)
+
+
 class TestClosedFormCaches:
     GRID = [(j, t, order) for j in (0, 1, 2) for t in (2, 3, 5) for order in (0, 1, 7, 40)]
 
     def test_each_cached_form_equals_its_recomputation(self):
         for j, t, order in self.GRID:
-            for fn, args in (
-                (row_weight_series, (j, t, order)),
-                (defect_series, (t, order)),
-            ):
-                assert fn(*args) == fn.__wrapped__(*args), (fn.__name__, args)
+            for name, fn in CLOSED_FORMS.items():
+                args = _args(name, j, t, order)
+                assert fn(*args) == _cold(fn, *args), (name, args)
+
+    @pytest.mark.parametrize("t", range(2, 8))
+    @pytest.mark.parametrize("name", list(CLOSED_FORMS))
+    @given(
+        j=st.integers(0, 3),
+        orders=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+    )
+    @settings(max_examples=12)
+    def test_any_sequence_of_orders_reads_as_cold_divisions(self, name, t, j, orders):
+        fn = CLOSED_FORMS[name]
+        fn.cache_clear()
+        for order in orders:
+            args = _args(name, j, t, order)
+            assert fn(*args) == _cold(fn, *args), (name, args)
+
+    def test_each_coefficient_is_divided_once(self, monkeypatch):
+        divided = []
+        divide = genfun._divide
+
+        def counting(out, a, b):
+            divided.append(len(a) - len(out))
+            return divide(out, a, b)
+
+        monkeypatch.setattr(genfun, "_divide", counting)
+        for name, fn in CLOSED_FORMS.items():
+            fn.cache_clear()
+            divided.clear()
+            for order in (60, 120, 30, 120):
+                args = _args(name, 1, 3, order)
+                assert fn(*args) == _cold(fn, *args), (name, args)
+            # _cold calls series.div, which does not look up genfun._divide.
+            assert sum(divided) == 121, name
 
     @pytest.mark.parametrize(
         "fn, args",

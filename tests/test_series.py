@@ -29,7 +29,7 @@ from coretower import (
 )
 from coretower import series as series_module
 from coretower.series import from_json_dict, to_csv, to_json_dict
-from oracles import divisor_sum_series_lambert, mul_dense
+from oracles import divisor_sum, divisor_sum_series_lambert, mul_dense
 from strategies import small_series_coeffs
 
 
@@ -204,6 +204,16 @@ class TestDivision:
         fb = IntSeries((unit,) + tuple(b)[1:])
         assert mul(div(fa, fb), fb) == fa
 
+    @given(small_series_coeffs(), small_series_coeffs(), st.sampled_from([1, -1]), st.data())
+    def test_a_division_continues_from_any_prefix(self, a, b, unit, data):
+        # Stopped after k coefficients and continued, a division reads as
+        # one made at once.
+        fb = (unit,) + tuple(b)[1:]
+        whole = div(IntSeries(tuple(a)), IntSeries(fb)).coeffs
+        k = data.draw(st.integers(0, len(a)))
+        out = series_module._divide([], a[:k], fb)
+        assert series_module._divide(out, a, fb) == list(whole)
+
 
 class TestSubstitutionAndDerivative:
     def test_substitute_identity(self):
@@ -315,6 +325,11 @@ class TestDivisorSums:
 
     def test_lambert_form_agrees(self):
         assert divisor_sum_series(200) == divisor_sum_series_lambert(200)
+
+    def test_sieve_matches_trial_division(self):
+        g = divisor_sum_series(5000)
+        assert g[0] == 0
+        assert all(g[n] == divisor_sum(n) for n in range(1, 5001))
 
 
 class TestLogDerivativeIdentity:

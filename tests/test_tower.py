@@ -631,3 +631,25 @@ class TestGeneralizedCores:
             assert is_generalized_core(lam, j, 2) == (j >= 5)
             met = {tower._as_parts(a) for a in calls}
             assert met == {p.parts for row in rows[: j + 2] for p in row if p}
+
+    def test_row_size_walk_stops_at_row_j(self, monkeypatch):
+        # The chain above: row_size for j splits the entries of pre-tower
+        # rows 0..j only, and past the height every row of the tower.
+        lam = Partition((1,))
+        for _ in range(5):
+            lam = reconstruct(Partition((1,)), (lam, EMPTY), 2)
+        rows = list(islice(dense_tower.pre_tower_rows(lam, 2), 7))
+        sizes = tower_row_sizes(lam, 2)
+        calls = TestSplitMemo.spy(monkeypatch)
+        for j in range(8):
+            calls.clear()
+            assert row_size(lam, 2, j) == (sizes[j] if j < len(sizes) else 0)
+            met = {tower._as_parts(a) for a in calls}
+            assert met == {p.parts for row in rows[: j + 1] for p in row if p}
+
+    def test_row_size_rejects_a_bad_row_or_modulus(self):
+        with pytest.raises(ValueError, match="row index"):
+            row_size(WORKED, 2, -1)
+        for t in (1, (1 << 20) + 1):
+            with pytest.raises(ValueError, match="modulus"):
+                row_size(WORKED, t, 0)
