@@ -63,9 +63,8 @@ from .asymptotics import (
     eisenstein_transform_residual,
     eta_growth_ratio,
     hardy_ramanujan_estimate,
-    ingham_predict,
-    partition_ingham_estimate,
     samples_to_csv,
+    transfer,
 )
 
 __version__ = "0.1.0"

@@ -26,56 +26,41 @@ SHOWN_DIGITS = 15  # significant digits of each float a defect sample shows
 _MAX_TERMS = 50_000
 
 
-def ingham_predict(growth_a, power_alpha, scale_ell, n: int, dps: int = DEFAULT_DPS):
-    """Tauberian coefficient estimate for a monotone series.
+def transfer(terms: Sequence[tuple], n: int, dps: int = DEFAULT_DPS):
+    """Estimate of [q**n] f, where P = 1/(q;q)_inf and terms holds the
+    numbers (c, beta, a) of f(e**-eps)/P(e**-eps) = sum c eps**beta e**(-a/eps).
 
-    If f(e**-eps) ~ ell * eps**alpha * exp(A/eps) as eps -> 0+, then the
-    n-th coefficient grows like
-
-        ell * A**(alpha/2 + 1/4) / (2 sqrt(pi) n**(alpha/2 + 3/4))
-            * exp(2 sqrt(A n)).
+    Each term gives c (A'/m)**((beta + 3/2)/2) I_(-beta-3/2)(2 sqrt(A' m))/sqrt(2 pi),
+    with A' = pi**2/6 - a > 0 and m = n - 1/24, since P(e**-eps) is
+    sqrt(eps/(2 pi)) e**(pi**2/(6 eps) - eps/24) up to exponentially small
+    terms.  The one term (1, 0, 0) is Rademacher's first term for p(n).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    with mp.workdps(dps + 10):
+        m = n - mp.mpf(1) / 24
+        total = 0
+        for c, beta, a in terms:
+            growth = mp.pi**2 / 6 - a
+            if growth <= 0:
+                raise ValueError(f"a = {a} leaves no growth: it must be below pi**2/6")
+            nu = beta + mp.mpf(3) / 2
+            bessel = mp.besseli(-nu, 2 * mp.sqrt(growth * m))
+            total += c * (growth / m) ** (nu / 2) * bessel
+        total /= mp.sqrt(2 * mp.pi)
     with mp.workdps(dps):
-        a = mp.mpf(growth_a)
-        if a <= 0:
-            raise ValueError("growth constant A must be positive")
-        alpha = mp.mpf(power_alpha)
-        ell = mp.mpf(scale_ell)
-        nn = mp.mpf(n)
-        half = mp.mpf(1) / 2
-        value = (
-            ell
-            * a ** (alpha * half + mp.mpf(1) / 4)
-            / (2 * mp.sqrt(mp.pi) * nn ** (alpha * half + mp.mpf(3) / 4))
-            * mp.exp(2 * mp.sqrt(a * nn))
-        )
-        return +value
+        return +total
 
 
 def hardy_ramanujan_estimate(n: int, dps: int = DEFAULT_DPS):
-    """Leading-order estimate exp(pi sqrt(2n/3)) / (4 n sqrt(3)) for p(n)."""
+    """Leading-order estimate exp(pi sqrt(2n/3)) / (4 n sqrt(3)) for p(n): the
+    leading term of transfer([(1, 0, 0)], n), with n for m and e**x/sqrt(2 pi x)
+    for I(x)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     with mp.workdps(dps):
         nn = mp.mpf(n)
         return +(mp.exp(mp.pi * mp.sqrt(2 * nn / 3)) / (4 * nn * mp.sqrt(3)))
-
-
-def partition_ingham_estimate(n: int, dps: int = DEFAULT_DPS):
-    """ingham_predict specialised to the partition generating function.
-
-    Uses A = pi**2/6, alpha = 1/2, ell = 1/sqrt(2 pi); algebraically this
-    collapses to the same closed form as hardy_ramanujan_estimate, which
-    the tests confirm numerically.
-    """
-    with mp.workdps(dps + 10):
-        a = mp.pi**2 / 6
-        ell = 1 / mp.sqrt(2 * mp.pi)
-        value = ingham_predict(a, mp.mpf(1) / 2, ell, n, dps=dps + 10)
-    with mp.workdps(dps):
-        return +value
 
 
 class DefectPrediction(NamedTuple):
@@ -183,8 +168,8 @@ def eta_growth_ratio(eps, dps: int = DEFAULT_DPS):
     """
     with mp.workdps(dps + 15):
         e = mp.mpf(eps)
-        if e <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < e < mp.inf:
+            raise ValueError("eps must be a positive finite number")
         least = (dps + 12) * mp.log(10) / _MAX_TERMS
         if e < least:
             raise ValueError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import lt
 from typing import Iterable, Iterator
 
@@ -175,30 +175,29 @@ def _decode(word: str) -> tuple[int, ...]:
 
 # Memo table for Euler's pentagonal number recurrence.  Grown on demand,
 # never trimmed; p(n) is needed far beyond enumeration range (n ~ 400).
+# _offsets holds -g, by k % 2, for each generalized pentagonal number
+# g = k(3k -+ 1)/2 below len(_pcounts); _upcoming[0] is the next (g, k % 2).
 _pcounts: list[int] = [1]
+_offsets: tuple[list[int], list[int]] = ([], [])
+_pentagonals = ((k * (3 * k + s) // 2, k % 2) for k in count(1) for s in (-1, 1))
+_upcoming = [next(_pentagonals)]
 
 
 def partition_count(n: int) -> int:
-    """p(n), the number of partitions of n, via the pentagonal recurrence.
+    """p(n), the number of partitions of n, via the pentagonal recurrence
+    p(m) = sum over k >= 1 of (-1)**(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)).
 
-    Kept independent of the power-series module so the two can be checked
-    against each other.
+    Appending keeps p(m - g) at _pcounts[-g], so each new p(m) is two
+    C-level sums.  Kept independent of the power-series module so the two
+    can be checked against each other.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while len(_pcounts) <= n:
-        m = len(_pcounts)
-        total = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2
-            if g > m:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * _pcounts[m - g]
-            g += k
-            if g <= m:
-                total += sign * _pcounts[m - g]
-            k += 1
-        _pcounts.append(total)
+    get = _pcounts.__getitem__
+    for m in range(len(_pcounts), n + 1):
+        g, odd = _upcoming[0]
+        if g <= m:
+            _offsets[odd].append(-g)
+            _upcoming[0] = next(_pentagonals)
+        _pcounts.append(sum(map(get, _offsets[1])) - sum(map(get, _offsets[0])))
     return _pcounts[n]

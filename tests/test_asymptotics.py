@@ -9,10 +9,10 @@ from coretower import (
     eisenstein_transform_residual,
     eta_growth_ratio,
     hardy_ramanujan_estimate,
-    ingham_predict,
     partition_count,
-    partition_ingham_estimate,
+    row_weight_series,
     samples_to_csv,
+    transfer,
 )
 
 # Ratios of exact totals to n*p(n)/(t-1), frozen from the oracle run; the
@@ -25,27 +25,75 @@ FROZEN_DEFECT_RATIOS = {
 SAMPLE_SIZES = (100, 200, 400)
 
 
-class TestIngham:
-    @pytest.mark.parametrize("n", [50, 100, 500])
-    def test_partition_parameters_reproduce_hardy_ramanujan(self, n):
-        a = partition_ingham_estimate(n, dps=50)
-        b = hardy_ramanujan_estimate(n, dps=50)
-        assert abs(a - b) / b < mp.mpf("1e-12")
+def _old_leading_term(growth_a, alpha, ell, n):
+    """The Tauberian estimate ell A**(alpha/2 + 1/4) e**(2 sqrt(A n))
+    / (2 sqrt(pi) n**(alpha/2 + 3/4)) of a series with
+    f(e**-eps) ~ ell eps**alpha e**(A/eps)."""
+    a, alpha, ell = mp.mpf(growth_a), mp.mpf(alpha), mp.mpf(ell)
+    return (
+        ell * a ** (alpha / 2 + mp.mpf(1) / 4) * mp.exp(2 * mp.sqrt(a * n))
+        / (2 * mp.sqrt(mp.pi) * mp.mpf(n) ** (alpha / 2 + mp.mpf(3) / 4))
+    )
 
-    def test_prediction_is_increasing(self):
-        values = [partition_ingham_estimate(n) for n in (10, 20, 40, 80, 160)]
-        assert all(x < y for x, y in zip(values, values[1:]))
+
+# (t, j) with t**(j + 1) <= 24: past that, a dual term of S(q**(t**(j+1)))
+# grows with n, and the two terms below no longer suffice.
+ROW_PAIRS = [(t, j) for t in range(2, 8) for j in range(4) if t ** (j + 1) <= 24]
+
+
+class TestTransfer:
+    @pytest.mark.parametrize("n, bound", [(500, "1e-12"), (1000, "1e-17")])
+    def test_one_term_is_rademachers_first_term(self, n, bound):
+        with mp.workdps(50):
+            gap = abs(transfer([(1, 0, 0)], n) / partition_count(n) - 1)
+            assert gap < mp.mpf(bound)
+
+    def test_hardy_ramanujan_is_the_leading_term(self):
+        with mp.workdps(50):
+            gaps = [
+                hardy_ramanujan_estimate(n) / transfer([(1, 0, 0)], n) - 1
+                for n in (100, 1000, 10000)
+            ]
+        for gap, seen in zip(gaps, ("0.0457", "0.0142", "0.0044")):
+            assert abs(gap - mp.mpf(seen)) < mp.mpf("1e-4")
+        assert gaps[0] > gaps[1] > gaps[2] > 0
 
     def test_ratio_to_exact_count_at_one_hundred(self):
         ratio = mp.mpf(partition_count(100)) / hardy_ramanujan_estimate(100)
         assert 0.95 < ratio < 1.05
         assert abs(ratio - mp.mpf("0.9562848138")) < mp.mpf("1e-6")
 
+    @pytest.mark.parametrize("t, j", ROW_PAIRS)
+    def test_two_terms_give_the_row_weight(self, t, j):
+        # T_j/P = (t-1)/(2 eps) - t**j (t**2 - 1)/24, up to exponentially
+        # small dual terms.
+        with mp.workdps(50):
+            slope, constant = mp.mpf(t - 1) / 2, -mp.mpf(t**j * (t * t - 1)) / 24
+            terms = [(slope, -1, 0), (constant, 0, 0)]
+            exact = row_weight_series(j, t, 1000)[1000]
+            assert abs(transfer(terms, 1000) / exact - 1) < mp.mpf("1e-14")
+
+    @pytest.mark.parametrize("growth_a, alpha, ell", [(1, 0, 1), (2, 1, 3)])
+    def test_old_tauberian_parameters_agree_to_leading_order(
+        self, growth_a, alpha, ell
+    ):
+        # f(e**-eps) ~ ell eps**alpha e**(A/eps) is f/P ~ ell sqrt(2 pi)
+        # eps**(alpha - 1/2) e**(-(pi**2/6 - A)/eps).
+        with mp.workdps(50):
+            c = ell * mp.sqrt(2 * mp.pi)
+            term = (c, alpha - mp.mpf(1) / 2, mp.pi**2 / 6 - growth_a)
+            ns = (100, 1000, 10000)
+            old = [_old_leading_term(growth_a, alpha, ell, n) for n in ns]
+            gaps = [abs(o / transfer([term], n) - 1) for o, n in zip(old, ns)]
+            assert gaps[0] > gaps[1] > gaps[2]
+            assert all(gap < 1 / mp.sqrt(n) for gap, n in zip(gaps, ns))
+
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            ingham_predict(-1, 0.5, 1.0, 10)
-        with pytest.raises(ValueError):
-            ingham_predict(1.0, 0.5, 1.0, 0)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            transfer([(1, 0, 0)], 0)
+        for a in (1.65, 2):  # pi**2/6 = 1.6449...
+            with pytest.raises(ValueError, match="below pi"):
+                transfer([(1, 0, 0), (1, 0, a)], 100)
 
 
 class TestDefectPrediction:
@@ -195,6 +243,11 @@ class TestEtaGrowth:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             eta_growth_ratio("0")
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", float("inf"), float("nan")])
+    def test_rejects_eps_that_is_not_finite(self, eps):
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            eta_growth_ratio(eps)
 
     def test_rejects_eps_past_the_term_budget_at_once(self):
         # At 50 digits eps 1e-7 would need about 1.4e9 factors: hours of work.

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -12,7 +14,9 @@ from coretower import (
     hook_lengths,
     make_partition,
     partition_count,
+    partition_series,
 )
+from coretower import partitions as partitions_module
 from coretower.partitions import _words
 from coretower.tower import _word
 from strategies import partitions
@@ -210,3 +214,23 @@ class TestPartitionCount:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             partition_count(-3)
+
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """partition_count of a fresh copy of coretower.partitions, whose
+        memo table is empty."""
+        path = partitions_module.__file__
+        spec = importlib.util.spec_from_file_location("cold_partitions", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module.partition_count
+
+    def test_cold_table_matches_the_partition_series_at_every_n(self, cold):
+        assert [cold(n) for n in range(3001)] == list(partition_series(3000).coeffs)
+
+    def test_scrambled_calls_match_the_partition_series(self, cold):
+        expected = partition_series(3000).coeffs
+        for n in (50, 49, 1000, 999, 3000):
+            assert cold(n) == expected[n]
+        assert [cold(n) for n in range(3001)] == list(expected)
