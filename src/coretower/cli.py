@@ -345,6 +345,10 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # An order or size past what a list or float can hold, say.
+        print(f"error: too large: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

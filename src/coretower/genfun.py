@@ -11,8 +11,8 @@ per arguments but the order for the life of the process (see _over_eta):
 each coefficient of a form is divided once per process, whichever orders
 its callers ask for, and in whatever sequence.  The brute-force twins read one
 census sweep per t (_census), and every sweep reads the position words of
-each n from one store (_stored), so enumeration walks each n once per
-process.
+each n from one store (_stored), which builds each n once per process by
+concatenation from the stored words of smaller sizes.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import wraps
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, repeat
 from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .partitions import Partition, _decode, _words, partition_count
+from .partitions import Partition, _decode, partition_count
 from .series import (
     IntSeries,
     _divide,
@@ -182,23 +182,58 @@ def _census(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...]
     return _sweeps[t][: order + 1]
 
 
-# _store[n] holds the words of n for the life of the process (see _stored).
-_store: list[tuple[str, ...]] = []
-_CHUNK = 1024  # words in each stored chunk
+# _store[m][b] holds the words of m with largest part b, b = 0..m, for the
+# life of the process (see _stored).
+_store: list[tuple[tuple[str, ...], ...]] = []
+_CHUNK = 1024  # most words in one stored string
 
 
 def _stored(n: int) -> tuple[str, ...]:
     """The position words of the partitions of n, in the order _words(n)
-    yields them, as chunks of up to _CHUNK words joined by spaces: every
-    sweep reads them, and _words walks each n once per process.  A chunk,
-    not a tuple of words, keeps the store to the words' characters."""
+    yields them, as strings of up to _CHUNK words joined by spaces: every
+    sweep reads them, and each n is built once per process.  A string, not
+    a tuple of words, keeps the store to the words' characters.
+
+    A partition of m with largest part a is a followed by a partition of
+    m - a with largest part b <= a; its word is the shorter word, whose
+    beads keep their positions, then a - b 0s and the new top bead.  So
+    the group of m with largest part a is the groups of m - a for b =
+    min(a, m - a) down to 0, each with its tail on every word, in
+    reverse-lexicographic order, and the groups for a = m down to 1 are
+    _words(m).  A tail goes on each word of a stored string but the last
+    by one str.replace, with no step per word.
+    """
     while len(_store) <= n:
-        words = _words(len(_store))
-        chunks = []
-        while chunk := list(islice(words, _CHUNK)):
-            chunks.append(" ".join(chunk))
-        _store.append(tuple(chunks))
-    return _store[n]
+        m = len(_store)
+        groups = [("",) if m == 0 else ()]  # largest part 0: the empty word
+        for a in range(1, m + 1):
+            below = _store[m - a]
+            pieces = (
+                (s.replace(" ", tail + " "), tail)
+                for b in range(min(a, m - a), -1, -1)
+                for tail in ["0" * (a - b) + "1"]
+                for s in below[b]
+            )
+            groups.append(tuple(_joined(pieces)))
+        _store.append(tuple(groups))
+    return tuple(chain.from_iterable(reversed(_store[n])))
+
+
+def _joined(pieces: Iterable[tuple[str, str]]) -> Iterator[str]:
+    """Each (words, tail) pair, up to _CHUNK words, with the tail on its
+    last word, joined by spaces in runs of at most _CHUNK words.  The tail
+    goes on in the join, not by a copy of each piece."""
+    run: list[str] = []
+    size = 0
+    for words, tail in pieces:
+        k = words.count(" ") + 1
+        if size + k > _CHUNK:
+            yield "".join(run[:-1])
+            run, size = [], 0
+        run += words, tail, " "
+        size += k
+    if run:
+        yield "".join(run[:-1])
 
 
 def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
@@ -214,11 +249,12 @@ def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...],
     _check_params(t, order=order)
     table = _RowSizes(t, order)
     get = table.__getitem__
+    runners = [itemgetter(slice(i, None, t)) for i in range(min(t, order + 1))]
 
     def packed(n: int, words: list[str]) -> Iterator[int]:
-        # One C-level sum per word over its runner columns.
-        runners = (itemgetter(slice(i, None, t)) for i in range(min(t, n + 1)))
-        return map(sum, zip(repeat(n), *(map(get, map(r, words)) for r in runners)))
+        # One C-level sum per word over its first min(t, n + 1) runners.
+        columns = [map(get, map(r, words)) for r in runners[: n + 1]]
+        return map(sum, zip(repeat(n), *columns))
 
     sweep = []
     for n in range(order + 1):

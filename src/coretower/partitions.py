@@ -3,9 +3,10 @@
 Partitions are stored as explicit tuples of weakly decreasing positive
 parts; the empty tuple is the empty partition.  Every object here is an
 immutable value, so results can be shared freely between threads, and
-enumeration streams are independent per call.  Enumeration steps through
-position words (_words); genfun's census stores them once per n and reads
-them back, and enumerate_partitions decodes them.
+enumeration streams are independent per call.  enumerate_partitions steps
+through position words (_words) and decodes them; genfun's census builds
+the same words in the same order by concatenation instead, and the tests
+hold the two to each other.
 """
 
 from __future__ import annotations

@@ -762,6 +762,21 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"error: csv format is not available for {where}\n"
 
+    # Exit 1 is a mismatch; a size no list can hold is a usage error.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series", "D", "--t", "2", "--order"),
+            ("verify", "recursion", "--t", "2", "--order"),
+            ("asympt", "defect", "--t", "2", "--samples"),
+        ],
+        ids=["series", "verify", "asympt"],
+    )
+    def test_a_huge_size_exits_two_not_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "9" * 20)
+        assert (code, out) == (2, "")
+        assert err == "error: too large: cannot fit 'int' into an index-sized integer\n"
+
 
 class TestOneParserPerProcess:
     # json then plain, series T with --j and series D without, a refused

@@ -1,3 +1,4 @@
+import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -331,39 +332,61 @@ class TestEnumerationCensus:
 
 
 class TestWordStore:
-    """Every sweep reads the words of n from one store that _words fills
-    once per n for the life of the process."""
+    """Every sweep reads the words of n from one store, which builds each n
+    once for the life of the process from the stored words below it;
+    _words is its oracle, not its source."""
+
+    oracle = staticmethod(partitions._words)
 
     @staticmethod
     def spy(monkeypatch):
         walked = []
-        words = genfun._words
+        built = []
+        words = partitions._words
+        joined = genfun._joined
 
         def spying(n):
             walked.append(n)
             return words(n)
 
+        def joining(pieces):
+            built.append(len(genfun._store))
+            return joined(pieces)
+
         monkeypatch.setattr(genfun, "_store", [])
         monkeypatch.setattr(genfun, "_sweeps", {})
-        monkeypatch.setattr(genfun, "_words", spying)
-        return walked
+        monkeypatch.setattr(partitions, "_words", spying)
+        monkeypatch.setattr(genfun, "_words", spying, raising=False)
+        monkeypatch.setattr(genfun, "_joined", joining)
+        return walked, built
 
     def test_each_n_is_walked_once(self, monkeypatch):
-        walked = self.spy(monkeypatch)
+        # Each n >= 1 joins one group per largest part 1..n, once: later
+        # sweeps keep the very entries built, and none calls _words.
+        walked, built = self.spy(monkeypatch)
+        genfun._census(2, 30)
+        kept = list(genfun._store)
         for t in (2, 3, 4, 5):
             genfun._census(t, 30)
-        assert walked == list(range(31))
+        assert genfun._store == kept and all(map(operator.is_, genfun._store, kept))
+        assert built == [n for n in range(31) for _ in range(n)]
         genfun._census(2, 34)
-        assert walked == list(range(35))
+        assert all(map(operator.is_, genfun._store[:31], kept))
+        assert built == [n for n in range(35) for _ in range(n)]
+        assert walked == []
 
     def test_chunks_hold_the_words_in_enumeration_order(self, monkeypatch):
         self.spy(monkeypatch)
-        for n in range(24):
-            chunks = genfun._stored(n)
-            words = [w for chunk in chunks for w in chunk.split(" ")]
-            assert words == list(partitions._words(n))
-            assert all(len(c.split(" ")) == genfun._CHUNK for c in chunks[:-1])
-        assert partition_count(23) > genfun._CHUNK  # so n = 23 has two chunks
+        for n in range(41):  # from a cold store to 30, then on to 40
+            words = [w for chunk in genfun._stored(n) for w in chunk.split(" ")]
+            assert words == list(self.oracle(n))
+        groups = [g for groups in genfun._store for g in groups]
+        sizes = [[s.count(" ") + 1 for s in g] for g in groups]
+        # No string passes the bound, and a group starts a new string only
+        # when the next words would not fit in the last one.
+        assert max(map(max, filter(None, sizes))) <= genfun._CHUNK
+        assert all(a + b > genfun._CHUNK for g in sizes for a, b in zip(g, g[1:]))
+        assert max(map(len, groups)) > 1  # some group of n <= 40 is split
 
     def test_cold_and_warm_stores_sweep_alike(self, monkeypatch):
         order = 22
@@ -376,8 +399,9 @@ class TestWordStore:
                 assert sorted(cold[n]) == TestEnumerationCensus.dense_tally(t, n)
 
     def test_largest_modulus_census_memory_from_a_cold_store(self, monkeypatch):
-        # The store of n <= 30, 506,748 characters, is made inside the
-        # traced sweep; as one string per word it would pass the bound.
+        # The store of n <= 30, 534,911 characters with the separators, is
+        # made inside the traced sweep; as one string per word it would
+        # pass the bound.
         self.spy(monkeypatch)
         tracemalloc.start()
         try:
@@ -385,7 +409,7 @@ class TestWordStore:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(len(c) for chunks in genfun._store for c in chunks) > 500_000
+        assert sum(len(s) for groups in genfun._store for g in groups for s in g) > 500_000
         assert peak < 1 << 20
 
 

@@ -188,7 +188,7 @@ class TestEnumeration:
 
 
 class TestPositionWords:
-    """The census walks _words; enumerate_partitions decodes the same stream."""
+    """enumerate_partitions decodes _words, the census store's oracle."""
 
     @pytest.mark.parametrize("n", range(0, 26))
     def test_words_encode_the_partition_stream(self, n):
