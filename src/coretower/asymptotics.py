@@ -10,7 +10,6 @@ small enough to be interesting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import count
 from typing import NamedTuple, Sequence
 
@@ -189,8 +188,7 @@ def eta_growth_ratio(eps, dps: int = DEFAULT_DPS):
         return +ratio
 
 
-@dataclass(frozen=True)
-class AsymptoticSample:
+class AsymptoticSample(NamedTuple):
     """One exact-versus-predicted data point for the total defect at size n.
 
     exact comes verbatim from the exact series; ratio is exact divided by
@@ -206,7 +204,7 @@ class AsymptoticSample:
 
     def columns(self) -> dict:
         """Fields by name as shown: n, exact in decimal, the floats to SHOWN_DIGITS."""
-        shown = (f.name for f in fields(self)[2:])
+        shown = self._fields[2:]
         floats = {name: mp.nstr(getattr(self, name), SHOWN_DIGITS) for name in shown}
         return {"n": self.n, "exact": str(self.exact), **floats}
 
@@ -234,6 +232,6 @@ def defect_samples(
 def samples_to_csv(samples: Sequence[AsymptoticSample]) -> str:
     """CSV table with one column per AsymptoticSample field, in field order,
     each as AsymptoticSample.columns shows it."""
-    lines = [",".join(f.name for f in fields(AsymptoticSample))]
+    lines = [",".join(AsymptoticSample._fields)]
     lines += (",".join(map(str, s.columns().values())) for s in samples)
     return "\n".join(lines) + "\n"

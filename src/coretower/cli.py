@@ -9,7 +9,6 @@ document whose big integers are decimal strings.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from itertools import chain, repeat
@@ -72,11 +71,16 @@ def _fmt_parts(parts) -> str:
     return ",".join(map(str, parts))
 
 
+def _json(payload) -> str:
+    import json  # here, so that a command that writes no JSON does not load it
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _emit(args, payload, text: str) -> None:
     """Write payload as indented JSON under --format json, else text, which
     ends with its own newline."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload)
     sys.stdout.write(text)
 
 
@@ -174,7 +178,7 @@ def _cmd_series(args) -> int:
     # all of them before the one write, so a coefficient past the str()
     # digit limit leaves stdout empty.
     if args.format == "json":
-        print(json.dumps(qs.to_json_dict(result), indent=2))
+        sys.stdout.write(_json(qs.to_json_dict(result)))
     elif args.format == "csv":
         sys.stdout.write(qs.to_csv(result))
     else:

@@ -18,11 +18,10 @@ concatenation from the stored words of smaller sizes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import wraps
 from itertools import chain, count, repeat
 from operator import index, itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .partitions import Partition, _decode, partition_count
 from .series import (
@@ -42,8 +41,7 @@ from .tower import _RowSizes, _defect
 Mismatch = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking one identity coefficient-by-coefficient.
 
     first_mismatch is (n, closed_value, brute_value); status is "pass"

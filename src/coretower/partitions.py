@@ -11,21 +11,49 @@ hold the two to each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count
 from operator import lt
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Frozen:
+    """A value as a frozen dataclass is: equal only to its own class with
+    equal fields, hashed and shown by them, and closed to assignment and
+    deletion.  A subclass names its fields in _fields and stores them in
+    __dict__, where cached_property keeps its values too."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(_Frozen):
     """Weakly decreasing tuple of positive integer parts."""
 
-    parts: tuple[int, ...] = ()
+    _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = self.parts
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        self.__dict__["parts"] = parts
         # A positive last part and no increasing neighbours make a valid
         # tuple; the loop runs only to name the first offending part.
         if not parts or (parts[-1] >= 1 and not any(map(lt, parts, parts[1:]))):
@@ -42,9 +70,9 @@ class Partition:
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
         """A Partition of parts already known to be positive and weakly
-        decreasing, built without running __post_init__'s checks."""
+        decreasing, built without running __init__'s checks."""
         lam = object.__new__(cls)
-        object.__setattr__(lam, "parts", parts)
+        lam.__dict__["parts"] = parts
         return lam
 
     @cached_property

@@ -8,25 +8,26 @@ truncate() to drop to a common order explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
+
+from .partitions import _Frozen
 
 
 class OrderMismatchError(ValueError):
     """Raised when two series of different truncation orders are combined."""
 
 
-@dataclass(frozen=True)
-class IntSeries:
+class IntSeries(_Frozen):
     """Coefficients c_0 ... c_N of a power series truncated at order N."""
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        self.__dict__["coeffs"] = coeffs
+        if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        if (types := set(map(type, self.coeffs))) != {int}:
+        if (types := set(map(type, coeffs))) != {int}:
             names = ", ".join(sorted(t.__name__ for t in types - {int}))
             raise TypeError(f"series coefficients must be int, got {names}")
 

@@ -18,7 +18,7 @@ position, largest part plus number of parts in all, so a partition with
 fewer parts than t, or whose largest part is far above its number of
 parts, is split from its bead list instead (see _abacus), in time and
 memory that grow with its length alone.  One walk, _levels, serves every
-tower statistic: the tower row sizes sum the cores it builds.
+tower statistic: a row size sums its cores' sizes, read off their charges.
 
 The enumeration census (genfun._sweep) packs the row sizes of a partition
 of n in one int (_RowSizes), row j at bit j * bits for sizes up to
@@ -36,13 +36,12 @@ reference data treat quotient tuples as multisets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import add, mul, sub
 from typing import Iterator, Sequence
 
-from .partitions import EMPTY, Partition, _decode
+from .partitions import EMPTY, Partition, _Frozen, _decode
 
 # Materialisation guard: pre-tower row j has t**j entries, and a t-quotient t.
 _MAX_ROW_ENTRIES = 1 << 20
@@ -110,6 +109,14 @@ def _core(charges: tuple[tuple[int, ...], tuple[int, ...]], t: int) -> tuple[int
     beads += runners
     beads.sort(reverse=True)
     return _parts(beads)
+
+
+def _size(charges: tuple[tuple[int, ...], tuple[int, ...]], t: int) -> int:
+    """sum(_core(charges, t)), no core built: runner i's h beads sum to
+    i*h + t*h*(h - 1)/2, and the B beads in all to the size plus B*(B - 1)/2."""
+    runners, heights = charges
+    b, squares = sum(heights), sum(map(mul, heights, heights))
+    return sum(map(mul, runners, heights)) + (t * (squares - b) - b * (b - 1)) // 2
 
 
 def _split(abacus: _Abacus, t: int) -> tuple[tuple, list]:
@@ -241,26 +248,23 @@ def _row(t: int, j: int, entries) -> tuple[Partition, ...]:
     return tuple(row)
 
 
-def _levels(lam: Partition, t: int) -> Iterator[list]:
-    """(index, abacus, core parts, components) of the nonempty entries of
-    pre-tower rows 0, 1, ...; entry i's component r is entry t*i + r below.
-
-    splits maps each abacus met so far to its core and components, and cores
-    the charges of each core met (see _split) to its parts, so each distinct
-    core is built once; both go with the generator.
-    """
+def _levels(lam: Partition, t: int, read=_size) -> Iterator[list]:
+    """(index, abacus, read(core charges, t), components) of the nonempty
+    entries of pre-tower rows 0, 1, ...; entry i's component r is entry
+    t*i + r below.  splits keeps the last two for each abacus met, and
+    reads the read of each core's charges (see _split), so each distinct
+    core is read once; both go with the generator."""
     splits: dict[_Abacus, tuple] = {}
-    cores: dict[tuple, tuple[int, ...]] = {}
+    reads: dict[tuple, object] = {}
     level = [(0, _abacus(lam.parts, t))]
     while level:
         entries = []
         for i, a in level:
-            split = splits.get(a)
-            if split is None:
+            if (split := splits.get(a)) is None:
                 charges, children = _split(a, t)
-                if (core := cores.get(charges)) is None:
-                    core = cores[charges] = _core(charges, t)
-                split = splits[a] = core, children
+                if (value := reads.get(charges)) is None:
+                    value = reads[charges] = read(charges, t)
+                split = splits[a] = value, children
             entries.append((i, a, *split))
         yield entries
         level = [(t * i + r, a) for i, _, _, children in entries for r, a in children]
@@ -281,8 +285,7 @@ def pre_tower_row(lam: Partition, t: int, j: int) -> tuple[Partition, ...]:
     )
 
 
-@dataclass(frozen=True)
-class CoreTower:
+class CoreTower(_Frozen):
     """Rows of t-cores built from iterated quotients of one partition.
 
     Row j holds the t-cores of pre-tower row j, in order, and has t**j
@@ -295,8 +298,12 @@ class CoreTower:
     share one tuple, and keeps none of the walk's memos after it returns.
     """
 
-    t: int
-    entries: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    _fields = ("t", "entries")
+
+    def __init__(
+        self, t: int, entries: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    ) -> None:
+        self.__dict__.update(t=t, entries=entries)
 
     @property
     def height(self) -> int:
@@ -316,7 +323,7 @@ def core_tower(lam: Partition, t: int) -> CoreTower:
     pre-tower row is empty); raises ValueError past _MAX_ROW_ENTRIES."""
     _check_modulus(t)
     entries = []
-    for j, level in enumerate(_levels(lam, t)):
+    for j, level in enumerate(_levels(lam, t, _core)):
         _check_row(t, j)
         entries.append(tuple((i, core) for i, _, core, _ in level if core))
     return CoreTower(t=t, entries=tuple(entries))
@@ -346,10 +353,10 @@ class _RowSizes(dict):
 
 def tower_row_sizes(lam: Partition, t: int) -> tuple[int, ...]:
     """Total size of each tower row, row 0 up to the tower height, as in
-    core_tower(lam, t).row_sizes: the sizes of the cores _levels builds,
-    summed level by level, with no row materialised."""
+    core_tower(lam, t).row_sizes: the core sizes _levels reads off their
+    charges, summed level by level, with no core or row built."""
     _check_modulus(t)
-    return tuple(sum(sum(core) for _, _, core, _ in level) for level in _levels(lam, t))
+    return tuple(sum(size for _, _, size, _ in level) for level in _levels(lam, t))
 
 
 def row_size(lam: Partition, t: int, j: int) -> int:
@@ -359,7 +366,7 @@ def row_size(lam: Partition, t: int, j: int) -> int:
     _check_modulus(t)
     # The walk stops once it has split row j, or run out of rows.
     level = next(islice(_levels(lam, t), j, None), ())
-    return sum(sum(core) for _, _, core, _ in level)
+    return sum(size for _, _, size, _ in level)
 
 
 def _defect(lam: Partition | None, n: int, t: int, sizes: Sequence[int]) -> int:

@@ -886,3 +886,66 @@ class TestEntryPoint:
             runs.append((proc.returncode, proc.stdout))
         assert runs[0][0] == 0 and runs[0][1]
         assert runs == [runs[0]] * 4
+
+
+class TestStartup:
+    """What `import coretower.cli` loads, in a fresh `python -I` process:
+    mpmath and argparse eagerly (every command parses with argparse, and
+    the asymptotic commands need mpmath), and none of dataclasses, inspect
+    or json, which only a --format json write imports."""
+
+    @staticmethod
+    def fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+        prelude = f"import sys; sys.path.insert(0, {SRC!r}); "
+        return subprocess.run(
+            [sys.executable, "-I", "-c", prelude + code, *argv],
+            capture_output=True,
+            text=True,
+        )
+
+    def test_import_loads_mpmath_and_argparse_only_of_the_heavy_modules(self):
+        proc = self.fresh(
+            "before = set(sys.modules); import coretower.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert {"mpmath", "argparse", "coretower.cli"} <= added
+        assert not added & {"dataclasses", "inspect", "json"}
+
+    def test_plain_output_does_not_import_json(self):
+        proc = self.fresh(
+            "from coretower.cli import main; "
+            "main(['tower', '--t', '2', '5,4,2,2,1']); print('json' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (
+                ("tower", "--t", "2", "--format", "json", "5,4,2,2,1"),
+                0,
+                "a8ff635912ec7c9d4b722d0ad213830f1689fcf9562440b20087f6e1a3f8d6d8",
+            ),
+            (
+                ("series", "D", "--t", "3", "--order", "12", "--format", "json"),
+                0,
+                "da321a6183f25d2246c09eadf1324470291f6ce455d7f4e16b27bb1a65d74c70",
+            ),
+            (
+                ("verify", "congruence", "--t", "2", "--order", "12", "--format", "json"),
+                1,
+                "57361f3687f85e01cf5c3cdc2da58da1e09c70ae3c831b57f09c1c1f12111496",
+            ),
+        ],
+    )
+    def test_json_documents_are_unchanged(self, argv, code, digest):
+        # Pinned when json was imported with the module; here json is first
+        # imported by the write itself.
+        proc = self.fresh(
+            "from coretower.cli import main; sys.exit(main(sys.argv[1:]))", *argv
+        )
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest

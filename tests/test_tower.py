@@ -559,6 +559,40 @@ class TestCoreMemo:
         assert sorted(built) == sorted(met)
 
 
+class TestSizeFromCharges:
+    """A core's size read off its charges equals the size of the core
+    _core builds from them, and the row-size statistics build no core."""
+
+    @pytest.mark.parametrize("t", [2, 3, 5, 7, 11, 23])
+    def test_size_matches_the_built_core(self, t):
+        # Every partition of n <= 20, split from its word and from its parts;
+        # t = 23 exceeds every n.
+        for n in range(21):
+            for lam in enumerate_partitions(n):
+                for abacus in (tower._word(lam.parts), lam.parts):
+                    charges = tower._split(abacus, t)[0]
+                    assert tower._size(charges, t) == sum(tower._core(charges, t))
+
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_statistics_build_no_core(self, monkeypatch, t):
+        lam = TestSplitMemo.repeating(t)
+        rows = dense_tower.core_tower_rows(lam, t)
+        sizes = tuple(sum(p.size for p in row) for row in rows)
+        built = []
+        core = tower._core
+
+        def building(charges, t):
+            built.append(charges)
+            return core(charges, t)
+
+        monkeypatch.setattr(tower, "_core", building)
+        assert tower_row_sizes(lam, t) == sizes
+        assert defect(lam, t) == (lam.size - sum(sizes)) // (t - 1)
+        assert [row_size(lam, t, j) for j in range(len(rows) + 1)] == [*sizes, 0]
+        assert built == []
+        assert core_tower(lam, t).row_sizes == sizes and built
+
+
 class TestDefect:
     def test_worked_example(self):
         assert defect(WORKED, 2) == 6
