@@ -18,12 +18,12 @@ concatenation from the stored words of smaller sizes.
 from __future__ import annotations
 
 from collections import Counter
-from functools import wraps
+from functools import partial, reduce, wraps
 from itertools import chain, count, repeat
-from operator import index, itemgetter
+from operator import add, index, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .partitions import Partition, _decode, partition_count
+from .partitions import Partition, _decode, partition_counts
 from .series import (
     IntSeries,
     _divide,
@@ -250,15 +250,16 @@ def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...],
     runners = [itemgetter(slice(i, None, t)) for i in range(min(t, order + 1))]
 
     def packed(n: int, words: list[str]) -> Iterator[int]:
-        # One C-level sum per word over its first min(t, n + 1) runners.
+        # Each word's values on its first min(t, n + 1) runners, added
+        # column by column; n goes on once per distinct sum, when unpacked.
         columns = [map(get, map(r, words)) for r in runners[: n + 1]]
-        return map(sum, zip(repeat(n), *columns))
+        return reduce(partial(map, add), columns)
 
     sweep = []
     for n in range(order + 1):
         chunks = map(str.split, _stored(n), repeat(" "))
         tally = Counter(chain.from_iterable(packed(n, words) for words in chunks))
-        census = tuple((table.sizes(p), k) for p, k in tally.items())
+        census = tuple((table.sizes(n + p), k) for p, k in tally.items())
         for p, (sizes, _) in zip(tally, census):
             try:
                 _defect(None, n, t, sizes)
@@ -367,13 +368,14 @@ def check_congruence(t: int, order: int, claim: str = "both") -> VerificationRep
         raise ValueError(f"unknown claim {claim!r}")
     _check_params(t, order=order)
     totals = core_size_totals(t, order)
+    p = partition_counts(order)
     tsq = t * t
 
     def residues():
         for n in range(order + 1):
             observed = totals[n] % tsq
             if claim != "multiples":
-                yield n, observed, (n * partition_count(n)) % tsq
+                yield n, observed, (n * p[n]) % tsq
             if claim != "np" and n % t == 0:
                 yield n, observed, 0
 
@@ -383,18 +385,24 @@ def check_congruence(t: int, order: int, claim: str = "both") -> VerificationRep
 def check_recursion(t: int, order: int) -> VerificationReport:
     """Checks the exact recursion relating total core sizes to n*p(n) and
     counts of partitions with no part divisible by t: the correction at n
-    is the convolution sum over t | m <= n of m*p(m/t) * regular[n - m],
-    formed by one exact series product (series.mul)."""
+    is the convolution sum over t | m <= n of m*p(m/t) * regular[n - m].
+
+    The weights live on multiples of t, as W(q**t) with W[k] = t*k*p(k),
+    so coefficient r + t*i of the correction is coefficient i of W times
+    regular[r::t]: one exact product (series.mul) per residue r, of order
+    (order - r) // t, interleaved back."""
     _check_params(t, order=order)
     totals = core_size_totals(t, order)
-    regular = regular_partition_series(t, order)
-    weights = [0] * (order + 1)
-    for m in range(t, order + 1, t):
-        weights[m] = m * partition_count(m // t)
-    correction = mul(IntSeries(tuple(weights)), regular).coeffs
+    regular = regular_partition_series(t, order).coeffs
+    p = partition_counts(order)
+    weights = tuple(t * k * p[k] for k in range(order // t + 1))
+    correction = [0] * (order + 1)
+    for r in range(min(t, order + 1)):
+        column = regular[r::t]
+        product = mul(IntSeries(weights[: len(column)]), IntSeries(column))
+        correction[r::t] = product.coeffs
     mismatch = _first(
-        (n, totals[n], n * partition_count(n) - t * correction[n])
-        for n in range(order + 1)
+        (n, totals[n], n * p[n] - t * correction[n]) for n in range(order + 1)
     )
     return VerificationReport("recursion", t, None, order, mismatch)
 

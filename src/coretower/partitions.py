@@ -230,3 +230,9 @@ def partition_count(n: int) -> int:
             _upcoming[0] = next(_pentagonals)
         _pcounts.append(sum(map(get, _offsets[1])) - sum(map(get, _offsets[0])))
     return _pcounts[n]
+
+
+def partition_counts(n: int) -> list[int]:
+    """[p(0), ..., p(n)], a fresh list sliced off partition_count's table."""
+    partition_count(n)
+    return _pcounts[: n + 1]

@@ -37,7 +37,7 @@ reference data treat quotient tuples as multisets.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, mul, sub
 from typing import Iterator, Sequence
 
@@ -270,6 +270,13 @@ def _levels(lam: Partition, t: int, read=_size) -> Iterator[list]:
         level = [(t * i + r, a) for i, _, _, children in entries for r, a in children]
 
 
+def _level(lam: Partition, t: int, j: int) -> Sequence[tuple]:
+    """Entries of pre-tower row j as _levels yields them, or () past the
+    tower: the walk stops once it has split row j, or run out of rows.
+    Unlike islice's, j may pass sys.maxsize."""
+    return next((level for i, level in enumerate(_levels(lam, t)) if i == j), ())
+
+
 def pre_tower_row(lam: Partition, t: int, j: int) -> tuple[Partition, ...]:
     """Row j of the t-core pre-tower: t**j partitions, iterated quotients of lam.
 
@@ -279,10 +286,8 @@ def pre_tower_row(lam: Partition, t: int, j: int) -> tuple[Partition, ...]:
     _check_modulus(t)
     if j < 0:
         raise ValueError("row index j must be nonnegative")
-    at_j = islice(_levels(lam, t), j, j + 1)  # walked only past _row's guard
-    return _row(
-        t, j, ((i, _as_parts(a)) for level in at_j for i, a, _, _ in level if a)
-    )
+    _check_row(t, j)  # before the walk
+    return _row(t, j, ((i, _as_parts(a)) for i, a, _, _ in _level(lam, t, j) if a))
 
 
 class CoreTower(_Frozen):
@@ -333,16 +338,20 @@ class _RowSizes(dict):
     """The census table (module docstring) for modulus t and sizes <= n:
     each runner word[i::t], as sliced, to its component's share of the
     packed rows.  A component packs as its size plus its own runners'
-    values; past its length they are empty."""
+    values; past its length they are empty.  A miss strips its runner and
+    reads the component's share off shares, so each component is computed
+    once however many runners carry it."""
 
     def __init__(self, t: int, n: int):
-        self.t, self.bits = t, n.bit_length()
+        self.t, self.bits, self.shares = t, n.bit_length(), {}
 
     def __missing__(self, runner: str) -> int:
-        t, child = self.t, runner.lstrip("1").rstrip("0")
-        size = sum(_decode(child))
-        rows = size + sum(self[child[i::t]] for i in range(min(t, len(child))))
-        self[runner] = value = (rows << self.bits) - t * size
+        child = runner.lstrip("1").rstrip("0")
+        if (value := self.shares.get(child)) is None:
+            t, size = self.t, sum(_decode(child))
+            rows = size + sum(self[child[i::t]] for i in range(min(t, len(child))))
+            value = self.shares[child] = (rows << self.bits) - t * size
+        self[runner] = value
         return value
 
     def sizes(self, packed: int) -> tuple[int, ...]:
@@ -364,9 +373,7 @@ def row_size(lam: Partition, t: int, j: int) -> int:
     if j < 0:
         raise ValueError("row index j must be nonnegative")
     _check_modulus(t)
-    # The walk stops once it has split row j, or run out of rows.
-    level = next(islice(_levels(lam, t), j, None), ())
-    return sum(size for _, _, size, _ in level)
+    return sum(size for _, _, size, _ in _level(lam, t, j))
 
 
 def _defect(lam: Partition | None, n: int, t: int, sizes: Sequence[int]) -> int:
@@ -395,5 +402,4 @@ def is_generalized_core(lam: Partition, j: int, t: int) -> bool:
     if j < 0:
         raise ValueError("row index j must be nonnegative")
     _check_modulus(t)
-    # The walk stops once it has split row j + 1, or found it empty.
-    return next(islice(_levels(lam, t), j + 1, None), None) is None
+    return not _level(lam, t, j + 1)

@@ -31,6 +31,7 @@ from coretower import (
     row_weight_series,
     row_weight_series_brute,
     telescoped_row_weight_check,
+    tower_row_sizes,
 )
 from coretower import genfun, partitions, tower
 from coretower.series import (
@@ -437,6 +438,62 @@ class TestCensusDefectCheck:
             genfun._sweep(t, order)
 
 
+class TestRowSizesTable:
+    """The census table keys each runner as sliced, and computes the share
+    of each distinct component once."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The tables the census builds, and each word tower._decode reads."""
+        tables, decoded = [], []
+
+        class Spying(tower._RowSizes):
+            def __init__(self, t, n):
+                super().__init__(t, n)
+                tables.append(self)
+
+        def decoding(word):
+            decoded.append(word)
+            return partitions._decode(word)
+
+        monkeypatch.setattr(genfun, "_RowSizes", Spying)
+        monkeypatch.setattr(tower, "_decode", decoding)
+        return tables, decoded
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_each_component_is_computed_once_per_table(self, monkeypatch, t):
+        tables, decoded = self.spy(monkeypatch)
+        for order in (20, 30):
+            sweep = genfun._sweep(t, order)
+            table = tables.pop()
+            assert len(decoded) == len(set(decoded))
+            assert set(decoded) == {key.lstrip("1").rstrip("0") for key in table}
+            if (t, order) == (2, 30):
+                assert (len(table), len(decoded)) == (2207, 684)
+            decoded.clear()
+            for n in range(19):  # as in test_census_tallies_the_dense_row_sizes
+                assert sorted(sweep[n]) == TestEnumerationCensus.dense_tally(t, n)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_padded_runners_share_their_components_value(self, t):
+        # The value of a component word c is its share of its parent's packed
+        # rows, (rows << bits) - t * |c|, with rows its own tower row sizes;
+        # "1"*a + c + "0"*b strips to c, so it gets the same value whichever
+        # of the two the table meets first.
+        n = 9
+        bits = n.bit_length()
+        for k in range(n + 1):
+            for lam in enumerate_partitions(k):
+                c = _word(lam.parts)
+                rows = sum(s << bits * j for j, s in enumerate(tower_row_sizes(lam, t)))
+                want = (rows << bits) - t * k
+                for a, b in [(0, 0), (1, 0), (0, 2), (3, 1)]:
+                    padded = "1" * a + c + "0" * b
+                    first, second = tower._RowSizes(t, n), tower._RowSizes(t, n)
+                    assert (first[padded], first[c]) == (want, want)
+                    assert (second[c], second[padded]) == (want, want)
+
+
 class TestCoreSizeTotals:
     def test_head_values(self):
         assert core_size_totals(2, 8) == [0, 1, 0, 5, 0, 11, 6, 25, 12]
@@ -546,6 +603,33 @@ class TestRecursion:
         for a, b in cases:
             a, b = IntSeries(tuple(a)), IntSeries(tuple(b))
             assert mul(a, b) == mul_dense(a, b)
+
+    @pytest.mark.parametrize("t", range(2, 8))
+    def test_one_product_per_residue_class(self, monkeypatch, t):
+        # Product r multiplies the weights k*t*p(k) by regular[r::t], at order
+        # (order - r) // t; put back at r, r + t, ..., the products are the
+        # dense convolution of the weights on q**t with the regular series.
+        products = []
+
+        def spying(a, b):
+            products.append(c := mul(a, b))
+            return c
+
+        monkeypatch.setattr(genfun, "mul", spying)
+        for order in sorted({0, 1, t - 2, t - 1, t, 2 * t + 1, 97}):
+            products.clear()
+            assert check_recursion(t, order).passed
+            assert len(products) == min(t, order + 1)
+            orders = [c.truncation_order for c in products]
+            assert orders == [(order - r) // t for r in range(len(products))]
+            interleaved = [0] * (order + 1)
+            for r, c in enumerate(products):
+                interleaved[r::t] = c.coeffs
+            weights = IntSeries(
+                tuple(0 if m % t else m * partition_count(m // t) for m in range(order + 1))
+            )
+            dense = mul_dense(weights, regular_partition_series(t, order))
+            assert tuple(interleaved) == dense.coeffs
 
     def test_reports_a_planted_mismatch(self, monkeypatch):
         totals = core_size_totals(3, 90)

@@ -216,15 +216,19 @@ class TestPartitionCount:
             partition_count(-3)
 
     @pytest.fixture
-    def cold(self, monkeypatch):
-        """partition_count of a fresh copy of coretower.partitions, whose
-        memo table is empty."""
+    def cold_module(self, monkeypatch):
+        """A fresh copy of coretower.partitions, whose memo table is empty."""
         path = partitions_module.__file__
         spec = importlib.util.spec_from_file_location("cold_partitions", path)
         module = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, module)
         spec.loader.exec_module(module)
-        return module.partition_count
+        return module
+
+    @pytest.fixture
+    def cold(self, cold_module):
+        """partition_count of cold_module."""
+        return cold_module.partition_count
 
     def test_cold_table_matches_the_partition_series_at_every_n(self, cold):
         assert [cold(n) for n in range(3001)] == list(partition_series(3000).coeffs)
@@ -234,3 +238,16 @@ class TestPartitionCount:
         for n in (50, 49, 1000, 999, 3000):
             assert cold(n) == expected[n]
         assert [cold(n) for n in range(3001)] == list(expected)
+
+    def test_counts_are_a_fresh_slice_in_any_call_order(self, cold_module):
+        expected = partition_series(3001).coeffs
+        for n in (50, 0, 49, 1000, 999, 7, 3000):
+            counts = cold_module.partition_counts(n)
+            assert counts == [cold_module.partition_count(k) for k in range(n + 1)]
+            assert counts == list(expected[: n + 1])
+            counts[:] = [-1] * (n + 1)
+            counts.append(-1)
+            assert cold_module.partition_count(n) == expected[n]
+            assert cold_module.partition_count(n + 1) == expected[n + 1]
+        with pytest.raises(ValueError):
+            cold_module.partition_counts(-1)

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from itertools import chain, islice
 from collections import Counter
@@ -171,6 +172,21 @@ class TestTower:
     def test_pre_tower_row_materialisation_guard(self):
         with pytest.raises(ValueError, match="too many entries"):
             pre_tower_row(EMPTY, 2, 40)
+
+    def test_row_index_past_the_largest_machine_int(self, monkeypatch):
+        # islice takes no index past sys.maxsize; the tower walk takes any,
+        # and pre_tower_row refuses such a row before it walks.
+        rows = (sys.maxsize, sys.maxsize + 1, 10**30)
+        for j in rows:
+            assert row_size(WORKED, 2, j) == 0
+            assert is_generalized_core(WORKED, j, 2)
+            assert is_generalized_core(EMPTY, j, 3)
+        walked = []
+        monkeypatch.setattr(tower, "_levels", lambda *args: walked.append(args))
+        for j in rows:
+            with pytest.raises(ValueError, match="too many entries"):
+                pre_tower_row(WORKED, 2, j)
+        assert walked == []
 
     def test_pre_tower_rejects_negative_j(self):
         with pytest.raises(ValueError):
