@@ -108,37 +108,48 @@ def _int_list(xs, depth: int) -> str:
     return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + "  " * depth + "]"
 
 
-def _cells(tower, empty: str, fmt) -> Iterator[list[str]]:
-    """Each row of tower as its t**j rendered cells: fmt(parts), once per
-    distinct parts, at the nonempty entries, one empty string at the others."""
-    fmt = cache(fmt)
-    for j, row in enumerate(tower.entries):
-        cells = [empty] * tower.t**j
-        for i, parts in row:
-            cells[i] = fmt(parts)
-        yield cells
+def _row_text(row, width: int, empty: str, sep: str, fmt) -> str:
+    """The width cells of a tower row joined by sep: fmt(parts) at each
+    (index, parts) of row, empty at the others, each run of empty cells
+    one repeated string."""
+    blank, pieces, last = empty + sep, [], 0
+    for i, parts in row:
+        pieces += blank * (i - last), fmt(parts), sep
+        last = i + 1
+    if last < width:
+        pieces += blank * (width - last - 1), empty
+    else:
+        pieces.pop()
+    return "".join(pieces)
 
 
 def _cmd_tower(args) -> int:
-    lam = _parse_partition(args.partition)
-    tower = core_tower(lam, args.t)
-    d = _defect(lam, lam.size, args.t, tower.row_sizes)
+    text, t = args.partition, args.t
+    lam = _parse_partition(text)
+    tower = core_tower(lam, t)
+    d = _defect(lam, lam.size, t, tower.row_sizes)
+    # An accepted text with no leading zero is its parts' own rendering.
+    if text[:1] == "0" or ",0" in text:
+        text = _fmt_parts(lam.parts)
     # Written directly: json.dumps with indent uses its slow pure-Python encoder.
     if args.format == "json":
+        fmt = cache(lambda parts: _int_list(parts, 3))
         rows = ",\n    ".join(
-            "[\n      " + ",\n      ".join(cells) + "\n    ]"
-            for cells in _cells(tower, "[]", lambda parts: _int_list(parts, 3))
+            "[\n      " + _row_text(row, t**j, "[]", ",\n      ", fmt) + "\n    ]"
+            for j, row in enumerate(tower.entries)
         )
+        partition = "[\n    " + text.replace(",", ",\n    ") + "\n  ]" if text else "[]"
         print(
-            f'{{\n  "t": {args.t},\n  "partition": {_int_list(lam.parts, 1)},\n'
+            f'{{\n  "t": {t},\n  "partition": {partition},\n'
             f'  "rows": [\n    {rows}\n  ],\n'
             f'  "row_sizes": {_int_list(tower.row_sizes, 1)},\n  "defect": {d}\n}}'
         )
     else:
-        print(f"t={args.t} partition={_fmt_parts(lam.parts)} size={lam.size}")
-        paren = _cells(tower, "()", lambda parts: "(" + _fmt_parts(parts) + ")")
-        for j, cells in enumerate(paren):
-            print(f"row {j}: {' '.join(cells)} size={tower.row_sizes[j]}")
+        print(f"t={t} partition={text} size={lam.size}")
+        fmt = cache(lambda parts: "(" + _fmt_parts(parts) + ")")
+        for j, row in enumerate(tower.entries):
+            cells = _row_text(row, t**j, "()", " ", fmt)
+            print(f"row {j}: {cells} size={tower.row_sizes[j]}")
         print(f"defect={d}")
     return 0
 

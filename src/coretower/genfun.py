@@ -207,7 +207,7 @@ def _stored(n: int) -> tuple[str, ...]:
         for a in range(1, m + 1):
             below = _store[m - a]
             pieces = (
-                (s.replace(" ", tail + " "), tail)
+                (s, tail)
                 for b in range(min(a, m - a), -1, -1)
                 for tail in ["0" * (a - b) + "1"]
                 for s in below[b]
@@ -218,20 +218,31 @@ def _stored(n: int) -> tuple[str, ...]:
 
 
 def _joined(pieces: Iterable[tuple[str, str]]) -> Iterator[str]:
-    """Each (words, tail) pair, up to _CHUNK words, with the tail on its
-    last word, joined by spaces in runs of at most _CHUNK words.  The tail
-    goes on in the join, not by a copy of each piece."""
+    """The words of each (words, tail) pair, up to _CHUNK words, each with
+    the tail on, joined by spaces in runs of at most _CHUNK words."""
     run: list[str] = []
     size = 0
     for words, tail in pieces:
         k = words.count(" ") + 1
         if size + k > _CHUNK:
-            yield "".join(run[:-1])
+            yield _join(run)
             run, size = [], 0
-        run += words, tail, " "
+        run += words.replace(" ", tail + " "), tail, " "
         size += k
     if run:
-        yield "".join(run[:-1])
+        yield _join(run)
+
+
+def _join(run: list[str]) -> str:
+    """One stored string from run, which it empties.  A run of one piece
+    gets its last tail in place, as the piece's only reference: a copy
+    would leave a hole in the heap that later, longer strings do not fit."""
+    if len(run) > 3:
+        return "".join(run[:-1])
+    out, tail, _ = run
+    run.clear()
+    out += tail
+    return out
 
 
 def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:

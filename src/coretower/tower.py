@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterator, Sequence
 
 from .partitions import EMPTY, Partition, _Frozen, _decode
@@ -320,7 +320,7 @@ class CoreTower(_Frozen):
 
     @cached_property
     def row_sizes(self) -> tuple[int, ...]:
-        return tuple(sum(sum(parts) for _, parts in row) for row in self.entries)
+        return tuple(sum(map(sum, map(itemgetter(1), row))) for row in self.entries)
 
 
 def core_tower(lam: Partition, t: int) -> CoreTower:

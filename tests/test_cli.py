@@ -146,13 +146,16 @@ def reference_tower_outputs(lam, t):
     return "\n".join(lines) + "\n", json.dumps(payload, indent=2) + "\n"
 
 
-def tower_outputs(lam, t):
+def tower_outputs(lam, t, text=None):
+    """(plain, json) stdout of `tower` for lam, given as text, by default
+    its parts joined by commas."""
+    if text is None:
+        text = ",".join(map(str, lam.parts))
     outputs = []
     for fmt in ("plain", "json"):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            argv = ["tower", "--t", str(t), "--format", fmt, ",".join(map(str, lam.parts))]
-            code = main(argv)
+            code = main(["tower", "--t", str(t), "--format", fmt, text])
         assert code == 0
         outputs.append(buf.getvalue())
     return tuple(outputs)
@@ -175,6 +178,35 @@ class TestTowerRenderer:
         [((1,) * 64, 2), ((20, 17, 11, 11, 6, 3, 3, 1), 3), ((10000,), 10), ((1000,), 7)],
     )
     def test_tall_and_wide_towers(self, parts, t):
+        lam = Partition(parts)
+        assert tower_outputs(lam, t) == reference_tower_outputs(lam, t)
+
+    @pytest.mark.parametrize(
+        "text, parts, t",
+        [
+            ("007,7,3", (7, 7, 3), 2),
+            ("05,05,1", (5, 5, 1), 3),
+            ("10,010,1", (10, 10, 1), 2),
+            ("0001", (1,), 5),
+        ],
+    )
+    def test_texts_with_leading_zeros(self, text, parts, t):
+        # Not echoed: the partition is rendered from its parts.
+        lam = Partition(parts)
+        assert tower_outputs(lam, t, text) == reference_tower_outputs(lam, t)
+
+    @pytest.mark.parametrize(
+        "parts, t",
+        [
+            ((3, 2, 1), 2),  # a 2-core: height 0, one nonempty cell
+            ((7, 5, 3, 1), 3),  # a 3-core
+            ((3, 2, 1), 3),  # row 1: first and last cells nonempty, one empty between
+            ((4, 2, 1, 1), 2),  # row 1 all empty; row 2's first and last nonempty
+            ((2, 2), 2),  # row 1 with no empty cell
+            ((3, 3, 3), 3),  # row 1 with no empty cell
+        ],
+    )
+    def test_runs_at_the_row_ends(self, parts, t):
         lam = Partition(parts)
         assert tower_outputs(lam, t) == reference_tower_outputs(lam, t)
 
@@ -226,9 +258,12 @@ class TestRepeatedPartsPins:
         text = ",".join(map(str, parts))
         code, _, _ = run_cli(capsys, "tower", "--t", "5", "--format", fmt, text)
         assert code == 0
-        # Besides the cells: json formats the partition and the row sizes
-        # after them, plain the partition before them.
-        cells = calls[:-2] if fmt == "json" else calls[1:]
+        # The partition is echoed from its text; besides the cells, json
+        # formats only the row sizes, after them.
+        cells = calls
+        if fmt == "json":
+            *cells, sizes = calls
+            assert sizes == core_tower(Partition(tuple(parts)), 5).row_sizes
         assert sorted(cells) == sorted(set(cores))
 
     def test_parts_with_leading_zeros_read_as_their_values(self, capsys, monkeypatch):
