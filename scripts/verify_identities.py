@@ -24,7 +24,7 @@ from coretower import (  # noqa: E402
     monotonicity_check,
     telescoped_row_weight_check,
 )
-from coretower.genfun import FAMILIES  # noqa: E402
+from coretower.genfun import FAMILIES, enumerated  # noqa: E402
 
 
 def main() -> int:
@@ -47,9 +47,9 @@ def main() -> int:
     ]
     reports = []
     for label, family, t, j, order in battery:
-        closed, enumerated = FAMILIES[family]
+        closed = FAMILIES[family][0](j, t, order)
         reports.append(
-            compare_series(label, closed(j, t, order), enumerated(j, t, order), t=t, j=j)
+            compare_series(label, closed, enumerated(family, j, t, order), t=t, j=j)
         )
     for t in range(2, 8):
         reports.append(check_congruence(t, args.congruence_order, claim="np"))

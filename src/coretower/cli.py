@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache
+from functools import cache, partial
 from itertools import chain, repeat
 from typing import Iterator
 
@@ -159,17 +159,18 @@ def _cmd_series(args) -> int:
     if ceiling < 0:
         raise ValueError(f"--brute-ceiling must be nonnegative, got {ceiling}")
     family = args.family
-    if family in ("T", "cores") and args.j is None:
+    closed_form, _, takes_j = genfun.FAMILIES[family]
+    if takes_j and args.j is None:
         raise ValueError(f"series {family} requires --j")
-    if family == "D" and args.j is not None:
-        raise ValueError("series D takes no --j")
+    if not takes_j and args.j is not None:
+        raise ValueError(f"series {family} takes no --j")
     order = args.order
     if args.mode in ("brute", "both") and order > ceiling:
         raise ValueError(
             f"order {order} exceeds the brute-force ceiling {ceiling}; "
             f"raise --brute-ceiling explicitly if you mean it"
         )
-    closed_form, enumerated = genfun.FAMILIES[family]
+    enumerated = partial(genfun.enumerated, family)
     if args.mode == "both":
         if args.format == "csv":
             raise ValueError("csv format is not available for verification reports")
@@ -292,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("family", choices=tuple(genfun.FAMILIES))
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--j", type=int, default=None, help="tower row (T and cores only)")
+    with_j = " and ".join(f for f, (_, _, takes_j) in genfun.FAMILIES.items() if takes_j)
+    p.add_argument("--j", type=int, default=None, help=f"tower row ({with_j} only)")
     p.add_argument("--order", type=int, default=100)
     p.add_argument("--mode", choices=("closed", "brute", "both"), default="closed")
     p.set_defaults(handler=_cmd_series)

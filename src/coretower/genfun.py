@@ -1,15 +1,17 @@
 """Generating functions for tower statistics, built two independent ways.
 
-Each series of interest has a closed form assembled from exact q-series
-primitives and a brute-force twin obtained by enumerating all partitions
-of each size and measuring them directly.  compare_series() walks the two
+Each family of series names once, in FAMILIES, its closed form (built from
+exact q-series primitives), its census statistic (read off a partition's
+tower row sizes) and whether it takes a row index j.  enumerated(), the one
+enumeration source, sums a statistic over the partitions of each size: the
+brute-force twin of the closed form.  compare_series() walks the two
 coefficient lists and reports the first mismatch, if any; the congruence,
 recursion, and monotonicity checkers produce the same report type.
 
 Every closed form is a numerator over (q;q)_inf, and keeps one quotient
 per arguments but the order for the life of the process (see _over_eta):
 each coefficient of a form is divided once per process, whichever orders
-its callers ask for, and in whatever sequence.  The brute-force twins read one
+its callers ask for, and in whatever sequence.  enumerated() reads one
 census sweep per t (_census), and every sweep reads the position words of
 each n from one store (_stored), which builds each n once per process by
 concatenation from the stored words of smaller sizes.
@@ -285,19 +287,6 @@ def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...],
     return tuple(sweep)
 
 
-def _enumerated(t: int, order: int, stat: Callable[[int, tuple], int]) -> IntSeries:
-    """The series whose coefficient of q**n sums stat(n, row sizes) over the
-    partitions of n, read off the census."""
-    sums = (sum(k * stat(n, s) for s, k in c) for n, c in enumerate(_census(t, order)))
-    return IntSeries(tuple(sums))
-
-
-def row_weight_series_brute(j: int, t: int, order: int) -> IntSeries:
-    """Brute-force twin of row_weight_series by full enumeration."""
-    _check_params(t, j, order)
-    return _enumerated(t, order, lambda n, sizes: sizes[j] if j < len(sizes) else 0)
-
-
 @_over_eta
 def defect_series(t: int, order: int) -> IntSeries:
     """Closed form for the series of total defects of all partitions of n.
@@ -307,11 +296,6 @@ def defect_series(t: int, order: int) -> IntSeries:
     """
     powers = (t**k for k in range(1, order.bit_length() + 1))
     return _sigma(order, ((m, m) for m in powers))
-
-
-def defect_series_brute(t: int, order: int) -> IntSeries:
-    _check_params(t, order=order)
-    return _enumerated(t, order, lambda n, sizes: _defect(None, n, t, sizes))
 
 
 @_over_eta
@@ -326,29 +310,43 @@ def generalized_core_series(j: int, t: int, order: int) -> IntSeries:
     return pochhammer_inf(T, T, order)
 
 
-def generalized_core_series_brute(j: int, t: int, order: int) -> IntSeries:
-    _check_params(t, j, order)
-    # A partition counts when its tower has at most j + 1 rows.
-    return _enumerated(t, order, lambda n, sizes: len(sizes) <= j + 1)
-
-
-# Family name -> (closed form, enumeration twin), each called as f(j, t, order);
-# D ignores j.  The entries look the functions up when called, so a wrapper
-# installed on a module attribute sees every call.
-FAMILIES: dict[str, tuple[Callable[[int, int, int], IntSeries], ...]] = {
+# Family name -> (closed form f(j, t, order), census statistic stat(j, t, n,
+# row sizes), takes j); one that takes no j ignores it.  The closed forms look
+# the functions up when called, so a wrapper on a module attribute sees each call.
+FAMILIES: dict[str, tuple[Callable[..., IntSeries], Callable[..., int], bool]] = {
     "T": (
         lambda j, t, order: row_weight_series(j, t, order),
-        lambda j, t, order: row_weight_series_brute(j, t, order),
+        lambda j, t, n, sizes: sizes[j] if j < len(sizes) else 0,
+        True,
     ),
     "D": (
         lambda j, t, order: defect_series(t, order),
-        lambda j, t, order: defect_series_brute(t, order),
+        lambda j, t, n, sizes: _defect(None, n, t, sizes),
+        False,
     ),
     "cores": (
         lambda j, t, order: generalized_core_series(j, t, order),
-        lambda j, t, order: generalized_core_series_brute(j, t, order),
+        # A partition counts when its tower has at most j + 1 rows.
+        lambda j, t, n, sizes: len(sizes) <= j + 1,
+        True,
     ),
 }
+
+
+def enumerated(family: str, j: int | None, t: int, order: int) -> IntSeries:
+    """The twin of FAMILIES[family]'s closed form: coefficient n sums the
+    family's statistic over the partitions of n, read off the census.  Checks
+    its arguments as the closed forms do, and ignores j where they do."""
+    _, stat, takes_j = FAMILIES[family]
+    j, t, order = index(j) if takes_j else 0, index(t), index(order)
+    _check_params(t, j, order)
+    census = enumerate(_census(t, order))
+    return IntSeries(tuple(sum(k * stat(j, t, n, s) for s, k in c) for n, c in census))
+
+
+row_weight_series_brute = partial(enumerated, "T")
+defect_series_brute = partial(enumerated, "D", None)
+generalized_core_series_brute = partial(enumerated, "cores")
 
 
 def core_size_totals(t: int, order: int) -> list[int]:

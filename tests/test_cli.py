@@ -19,6 +19,9 @@ from coretower.cli import main
 from strategies import moduli, partitions
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# The series families that take --j, and those that take none.
+WITH_J = [f for f, (_, _, takes_j) in cli.genfun.FAMILIES.items() if takes_j]
+WITHOUT_J = [f for f, (_, _, takes_j) in cli.genfun.FAMILIES.items() if not takes_j]
 
 
 def run_cli(capsys, *argv):
@@ -347,17 +350,24 @@ class TestSeriesCommand:
         )
         assert (code, out) == (0, "0 0\n1 1\n2 4\n3 9\n")
 
-    def test_j_is_required_for_row_series(self, capsys):
-        code, _, err = run_cli(capsys, "series", "T", "--t", "2", "--order", "3")
-        assert code == 2
-        assert "requires --j" in err
+    @pytest.mark.parametrize("family", WITH_J)
+    def test_j_is_required_for_row_series(self, capsys, family):
+        code, out, err = run_cli(capsys, "series", family, "--t", "2", "--order", "3")
+        assert (code, out, err) == (2, "", f"error: series {family} requires --j\n")
 
-    def test_defect_series_takes_no_j(self, capsys):
-        code, _, err = run_cli(
-            capsys, "series", "D", "--t", "2", "--j", "1", "--order", "3"
+    @pytest.mark.parametrize("family", WITHOUT_J)
+    def test_defect_series_takes_no_j(self, capsys, family):
+        code, out, err = run_cli(
+            capsys, "series", family, "--t", "2", "--j", "1", "--order", "3"
         )
-        assert code == 2
-        assert "no --j" in err
+        assert (code, out, err) == (2, "", f"error: series {family} takes no --j\n")
+
+    def test_the_j_rules_are_the_tables(self, capsys):
+        # The three families as the paper names them: row weights T_j and
+        # generalized cores take a row, the defect D does not.
+        assert (WITH_J, WITHOUT_J) == (["T", "cores"], ["D"])
+        code, out, _ = run_cli(capsys, "series", "--help")
+        assert code == 0 and "tower row (T and cores only)" in " ".join(out.split())
 
     @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
     def test_a_coefficient_past_the_digit_limit_leaves_stdout_empty(
@@ -366,7 +376,8 @@ class TestSeriesCommand:
         # 3**10000 has 4772 decimal digits, past the default 4300-digit limit;
         # the coefficients before it must not be written either.
         planted = lambda j, t, order: IntSeries((0, 1, 3**10000, 2))  # noqa: E731
-        monkeypatch.setitem(cli.genfun.FAMILIES, "T", (planted, planted))
+        _, stat, takes_j = cli.genfun.FAMILIES["T"]
+        monkeypatch.setitem(cli.genfun.FAMILIES, "T", (planted, stat, takes_j))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
@@ -378,6 +389,8 @@ class TestSeriesCommand:
             sys.set_int_max_str_digits(limit)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        # The planted coefficient was reached: the error is str()'s own.
+        assert "Exceeds the limit" in err
 
 
 class TestVerifyCommand:
@@ -607,9 +620,10 @@ class TestJsonOutputs:
         )
 
     def test_series_both_failing(self, capsys, monkeypatch):
-        closed, enumerated = cli.genfun.FAMILIES["T"]
-        planted = lambda j, t, order: 2 * enumerated(j, t, order)  # noqa: E731
-        monkeypatch.setitem(cli.genfun.FAMILIES, "T", (closed, planted))
+        # A doubled statistic: the enumeration source reads the table.
+        closed, stat, takes_j = cli.genfun.FAMILIES["T"]
+        planted = lambda j, t, n, sizes: 2 * stat(j, t, n, sizes)  # noqa: E731
+        monkeypatch.setitem(cli.genfun.FAMILIES, "T", (closed, planted, takes_j))
         code, out, _ = run_cli(
             capsys, "series", "T", "--j", "0", "--t", "2", "--order", "3",
             "--mode", "both", "--format", "json",

@@ -2,7 +2,7 @@ import operator
 import random
 import tracemalloc
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from itertools import count
 from math import isqrt
 
@@ -330,6 +330,40 @@ class TestEnumerationCensus:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestFamilyTable:
+    """Each FAMILIES entry against its enumeration source, genfun.enumerated:
+    a family added to the table is tested by its entry."""
+
+    @pytest.mark.parametrize("t", range(2, 8))
+    @pytest.mark.parametrize("family", list(genfun.FAMILIES))
+    def test_closed_form_matches_enumeration(self, family, t):
+        closed, _, takes_j = genfun.FAMILIES[family]
+        for j in (0, 1, 2) if takes_j else (None,):
+            report = compare_series(
+                family, closed(j, t, 30), genfun.enumerated(family, j, t, 30), t=t, j=j
+            )
+            assert report.passed, report.describe()
+
+    @pytest.mark.parametrize("family", list(genfun.FAMILIES))
+    def test_both_sources_refuse_a_float_argument(self, family):
+        # As (j, t, order); j counts only for a family that takes it.
+        closed, _, takes_j = genfun.FAMILIES[family]
+        args = (1, 3, 10)
+        for i in range(0 if takes_j else 1, 3):
+            bad = args[:i] + (float(args[i]),) + args[i + 1 :]
+            for source in (closed, partial(genfun.enumerated, family)):
+                with pytest.raises(TypeError):
+                    source(*bad)
+
+    def test_the_brute_aliases_refuse_floats(self):
+        with pytest.raises(TypeError):
+            generalized_core_series_brute(0.0, 2, 5)
+        with pytest.raises(TypeError):
+            defect_series_brute(2, 5.0)
+        with pytest.raises(TypeError):
+            row_weight_series_brute(0, 2.0, 5)
 
 
 class TestWordStore:
