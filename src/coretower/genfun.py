@@ -8,13 +8,14 @@ brute-force twin of the closed form.  compare_series() walks the two
 coefficient lists and reports the first mismatch, if any; the congruence,
 recursion, and monotonicity checkers produce the same report type.
 
-Every closed form is a numerator over (q;q)_inf, and keeps one quotient
-per arguments but the order for the life of the process (see _over_eta):
-each coefficient of a form is divided once per process, whichever orders
-its callers ask for, and in whatever sequence.  enumerated() reads one
-census sweep per t (_census), and every sweep reads the position words of
-each n from one store (_stored), which builds each n once per process by
-concatenation from the stored words of smaller sizes.
+Every closed form, and the recursion check's correction, is a numerator
+over (q;q)_inf, and keeps one quotient per arguments but the order for
+the life of the process (see _over_eta): each coefficient of a form is
+divided once per process, whichever orders its callers ask for, and in
+whatever sequence.  enumerated() reads one census sweep per t (_census),
+and every sweep reads the position words of each n from one store
+(_stored), which builds each n once per process by concatenation from the
+stored words of smaller sizes.
 """
 
 from __future__ import annotations
@@ -391,25 +392,28 @@ def check_congruence(t: int, order: int, claim: str = "both") -> VerificationRep
     return VerificationReport(f"congruence.{claim}", t, None, order, _first(residues()))
 
 
+@_over_eta
+def _recursion_correction(t: int, order: int) -> IntSeries:
+    """The recursion's correction W(q**t) (q**t;q**t)_inf / (q;q)_inf, with
+    W[k] = t*k*p(k), over its numerator [W (q;q)_inf](q**t) of order order // t."""
+    w = tuple(t * k * c for k, c in enumerate(partition_counts(order // t)))
+    num = [0] * (order + 1)
+    num[::t] = mul(IntSeries(w), euler_product(order // t)).coeffs
+    return IntSeries(tuple(num))
+
+
 def check_recursion(t: int, order: int) -> VerificationReport:
     """Checks the exact recursion relating total core sizes to n*p(n) and
     counts of partitions with no part divisible by t: the correction at n
     is the convolution sum over t | m <= n of m*p(m/t) * regular[n - m].
 
     The weights live on multiples of t, as W(q**t) with W[k] = t*k*p(k),
-    so coefficient r + t*i of the correction is coefficient i of W times
-    regular[r::t]: one exact product (series.mul) per residue r, of order
-    (order - r) // t, interleaved back."""
+    and regular is (q**t;q**t)_inf / (q;q)_inf, so the correction is one
+    more numerator over (q;q)_inf (_recursion_correction), kept per t."""
     _check_params(t, order=order)
     totals = core_size_totals(t, order)
-    regular = regular_partition_series(t, order).coeffs
+    correction = _recursion_correction(t, order).coeffs
     p = partition_counts(order)
-    weights = tuple(t * k * p[k] for k in range(order // t + 1))
-    correction = [0] * (order + 1)
-    for r in range(min(t, order + 1)):
-        column = regular[r::t]
-        product = mul(IntSeries(weights[: len(column)]), IntSeries(column))
-        correction[r::t] = product.coeffs
     mismatch = _first(
         (n, totals[n], n * p[n] - t * correction[n]) for n in range(order + 1)
     )

@@ -455,6 +455,7 @@ class TestClosedFormsBuiltOnce:
             genfun.row_weight_series,
             genfun.defect_series,
             genfun.regular_partition_series,
+            genfun._recursion_correction,
         ):
             form.cache_clear()
         divided = []
@@ -466,7 +467,7 @@ class TestClosedFormsBuiltOnce:
 
         monkeypatch.setattr(genfun, "_divide", counted_divide)
         # (argv, coefficients divided so far): congruence divides T_0 once
-        # for both of its reports, recursion only the regular series,
+        # for both of its reports, recursion only its correction,
         # monotone D, and the series commands reuse T_0 and D.  A higher
         # order divides only the coefficients past the kept ones; a lower
         # one divides none.

@@ -38,6 +38,7 @@ from coretower.series import (
     IntSeries,
     OrderMismatchError,
     div,
+    divisor_sum_series,
     euler_product,
     mul,
     partition_series,
@@ -639,10 +640,10 @@ class TestRecursion:
             assert mul(a, b) == mul_dense(a, b)
 
     @pytest.mark.parametrize("t", range(2, 8))
-    def test_one_product_per_residue_class(self, monkeypatch, t):
-        # Product r multiplies the weights k*t*p(k) by regular[r::t], at order
-        # (order - r) // t; put back at r, r + t, ..., the products are the
-        # dense convolution of the weights on q**t with the regular series.
+    def test_correction_is_one_product_over_eta(self, monkeypatch, t):
+        # The correction's numerator is the weights k*t*p(k) times (q;q)_inf,
+        # one product at order order // t spread onto q**t; over (q;q)_inf it is
+        # the dense convolution of the weights on q**t with the regular series.
         products = []
 
         def spying(a, b):
@@ -651,19 +652,47 @@ class TestRecursion:
 
         monkeypatch.setattr(genfun, "mul", spying)
         for order in sorted({0, 1, t - 2, t - 1, t, 2 * t + 1, 97}):
+            genfun._recursion_correction.cache_clear()
             products.clear()
             assert check_recursion(t, order).passed
-            assert len(products) == min(t, order + 1)
-            orders = [c.truncation_order for c in products]
-            assert orders == [(order - r) // t for r in range(len(products))]
-            interleaved = [0] * (order + 1)
-            for r, c in enumerate(products):
-                interleaved[r::t] = c.coeffs
+            assert [c.truncation_order for c in products] == [order // t]
             weights = IntSeries(
                 tuple(0 if m % t else m * partition_count(m // t) for m in range(order + 1))
             )
             dense = mul_dense(weights, regular_partition_series(t, order))
-            assert tuple(interleaved) == dense.coeffs
+            assert genfun._recursion_correction(t, order) == dense
+
+    @pytest.mark.parametrize("t, k", [(2, 0), (2, 7), (3, 11), (5, 4), (7, 12)])
+    def test_reports_a_planted_correction_error(self, monkeypatch, t, k):
+        # One more at coefficient k of W (q;q)_inf is one more at t*k of the
+        # correction, and nothing below it: the recursion's value drops by t.
+        order = 90
+
+        def planted(a, b):
+            c = list(mul(a, b).coeffs)
+            c[k] += 1
+            return IntSeries(tuple(c))
+
+        n = t * k
+        total = core_size_totals(t, order)[n]
+        want = n * partition_count(n) - t * (genfun._recursion_correction(t, n)[n] + 1)
+        genfun._recursion_correction.cache_clear()
+        monkeypatch.setattr(genfun, "mul", planted)
+        try:
+            report = check_recursion(t, order)
+        finally:
+            genfun._recursion_correction.cache_clear()
+        assert report.first_mismatch == (n, total, want) == (n, total, total - t)
+
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_weights_times_eta_are_t_times_the_divisor_sums(self, t):
+        # Euler: q P'(q) / P(q) = sum sigma(n) q**n with P = 1/(q;q)_inf, so
+        # the correction's numerator is t*sigma on q**t; this ties the sieve
+        # to the pentagonal p(n) table far past the brute-force ceiling.
+        order = 5000
+        p = partitions.partition_counts(order)
+        weights = IntSeries(tuple(t * k * c for k, c in enumerate(p)))
+        assert mul(weights, euler_product(order)) == t * divisor_sum_series(order)
 
     def test_reports_a_planted_mismatch(self, monkeypatch):
         totals = core_size_totals(3, 90)
