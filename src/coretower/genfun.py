@@ -13,20 +13,27 @@ over (q;q)_inf, and keeps one quotient per arguments but the order for
 the life of the process (see _over_eta): each coefficient of a form is
 divided once per process, whichever orders its callers ask for, and in
 whatever sequence.  enumerated() reads one census sweep per t (_census),
-and every sweep reads the position words of each n from one store
-(_stored), which builds each n once per process by concatenation from the
-stored words of smaller sizes.
+and every sweep reads the position words (see tower) of each n from one
+store (_stored), which builds each n once per process by concatenation
+from the stored words of smaller sizes.
+
+The census packs the row sizes of a partition of n in one int
+(_RowSizes), row j at bit j * bits for sizes up to n < 2**bits: no row,
+nor sum of component sizes, passes n, so no digit carries.  Its table
+maps a runner word[i::t] as sliced to its component's whole share of the
+packed rows, (rows << bits) - t * size, so a partition of n packs as n
+plus the sum of its runners' values.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import partial, reduce, wraps
-from itertools import chain, count, repeat
+from itertools import chain, count
 from operator import add, index, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .partitions import Partition, _decode, partition_counts
+from .partitions import Partition, partition_counts
 from .series import (
     IntSeries,
     _divide,
@@ -39,7 +46,7 @@ from .series import (
     pochhammer_inf,
     series_zero,
 )
-from .tower import _RowSizes, _defect
+from .tower import _decode, _defect
 
 Mismatch = tuple[int, int, int]
 
@@ -183,17 +190,16 @@ def _census(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...]
     return _sweeps[t][: order + 1]
 
 
-# _store[m][b] holds the words of m with largest part b, b = 0..m, for the
-# life of the process (see _stored).
-_store: list[tuple[tuple[str, ...], ...]] = []
-_CHUNK = 1024  # most words in one stored string
+# _store[m][b] holds the words of m with largest part b, b = 0..m, as one
+# string, each word followed by a space, for the life of the process.
+_store: list[tuple[str, ...]] = []
 
 
-def _stored(n: int) -> tuple[str, ...]:
-    """The position words of the partitions of n, in the order _words(n)
-    yields them, as strings of up to _CHUNK words joined by spaces: every
-    sweep reads them, and each n is built once per process.  A string, not
-    a tuple of words, keeps the store to the words' characters.
+def _stored(n: int) -> Iterator[list[str]]:
+    """The position words of the partitions of n, in the order of
+    enumerate_partitions, as one list per largest part: every sweep reads
+    them, and each n is built once per process.  A string per group, not a
+    tuple of words, keeps the store to the words' characters.
 
     A partition of m with largest part a is a followed by a partition of
     m - a with largest part b <= a; its word is the shorter word, whose
@@ -201,62 +207,59 @@ def _stored(n: int) -> tuple[str, ...]:
     the group of m with largest part a is the groups of m - a for b =
     min(a, m - a) down to 0, each with its tail on every word, in
     reverse-lexicographic order, and the groups for a = m down to 1 are
-    _words(m).  A tail goes on each word of a stored string but the last
-    by one str.replace, with no step per word.
+    the words of m.  One str.replace puts a tail on every word of a
+    stored group, with no step per word.
     """
     while len(_store) <= n:
         m = len(_store)
-        groups = [("",) if m == 0 else ()]  # largest part 0: the empty word
+        groups = [" " if m == 0 else ""]  # largest part 0: the empty word
         for a in range(1, m + 1):
             below = _store[m - a]
-            pieces = (
-                (s, tail)
-                for b in range(min(a, m - a), -1, -1)
-                for tail in ["0" * (a - b) + "1"]
-                for s in below[b]
+            groups.append(
+                "".join(
+                    below[b].replace(" ", "0" * (a - b) + "1 ")
+                    for b in range(min(a, m - a), -1, -1)
+                )
             )
-            groups.append(tuple(_joined(pieces)))
         _store.append(tuple(groups))
-    return tuple(chain.from_iterable(reversed(_store[n])))
+    return (group.split(" ")[:-1] for group in reversed(_store[n]))
 
 
-def _joined(pieces: Iterable[tuple[str, str]]) -> Iterator[str]:
-    """The words of each (words, tail) pair, up to _CHUNK words, each with
-    the tail on, joined by spaces in runs of at most _CHUNK words."""
-    run: list[str] = []
-    size = 0
-    for words, tail in pieces:
-        k = words.count(" ") + 1
-        if size + k > _CHUNK:
-            yield _join(run)
-            run, size = [], 0
-        run += words.replace(" ", tail + " "), tail, " "
-        size += k
-    if run:
-        yield _join(run)
+class _RowSizes(dict):
+    """The census table (module docstring) for modulus t and sizes <= n:
+    each runner word[i::t], as sliced, to its component's share of the
+    packed rows.  A component packs as its size plus its own runners'
+    values; past its length they are empty.  A miss strips its runner and
+    reads the component's share off shares, so each component is computed
+    once however many runners carry it."""
 
+    def __init__(self, t: int, n: int):
+        self.t, self.bits, self.shares = t, n.bit_length(), {}
 
-def _join(run: list[str]) -> str:
-    """One stored string from run, which it empties.  A run of one piece
-    gets its last tail in place, as the piece's only reference: a copy
-    would leave a hole in the heap that later, longer strings do not fit."""
-    if len(run) > 3:
-        return "".join(run[:-1])
-    out, tail, _ = run
-    run.clear()
-    out += tail
-    return out
+    def __missing__(self, runner: str) -> int:
+        child = runner.lstrip("1").rstrip("0")
+        if (value := self.shares.get(child)) is None:
+            t, size = self.t, sum(_decode(child))
+            rows = size + sum(self[child[i::t]] for i in range(min(t, len(child))))
+            value = self.shares[child] = (rows << self.bits) - t * size
+        self[runner] = value
+        return value
+
+    def sizes(self, packed: int) -> tuple[int, ...]:
+        """Row 0 up to the tower height, from packed rows."""
+        digits = range(0, max(packed.bit_length(), 1), self.bits or 1)
+        return tuple(packed >> i & ((1 << self.bits) - 1) for i in digits)
 
 
 def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
     """One sweep over the partitions of n = 0..order for modulus t: for each
     n, (row sizes, count) for each distinct tuple of tower row sizes.
 
-    The sweep keeps integers only; the words come from _stored.  It shares
-    one tower._RowSizes table, in the packed row format of tower's module
-    docstring, dropped when it ends, so a word of n tallies as one sum over
-    its min(t, n + 1) runners.  Each distinct int is unpacked, and its
-    defect checked, once.
+    The sweep keeps integers only; the words come from _stored, one group
+    split at a time.  It shares one _RowSizes table, in the packed row
+    format of the module docstring, dropped when it ends, so a word of n
+    tallies as one sum over its min(t, n + 1) runners.  Each distinct int
+    is unpacked, and its defect checked, once.
     """
     _check_params(t, order=order)
     table = _RowSizes(t, order)
@@ -271,8 +274,7 @@ def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...],
 
     sweep = []
     for n in range(order + 1):
-        chunks = map(str.split, _stored(n), repeat(" "))
-        tally = Counter(chain.from_iterable(packed(n, words) for words in chunks))
+        tally = Counter(chain.from_iterable(packed(n, words) for words in _stored(n)))
         census = tuple((table.sizes(n + p), k) for p, k in tally.items())
         for p, (sizes, _) in zip(tally, census):
             try:
@@ -280,7 +282,7 @@ def _sweep(t: int, order: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...],
             except ArithmeticError:
                 # The check depends on (n, t, sizes) only, so it fails for
                 # every partition with these sizes: name the first one.
-                words = chain.from_iterable(map(str.split, _stored(n), repeat(" ")))
+                words = chain.from_iterable(_stored(n))
                 witness = next(w for w in words if next(packed(n, [w])) == p)
                 _defect(Partition._trusted(_decode(witness)), n, t, sizes)
                 raise

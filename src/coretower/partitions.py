@@ -3,16 +3,15 @@
 Partitions are stored as explicit tuples of weakly decreasing positive
 parts; the empty tuple is the empty partition.  Every object here is an
 immutable value, so results can be shared freely between threads, and
-enumeration streams are independent per call.  enumerate_partitions steps
-through position words (_words) and decodes them; genfun's census builds
-the same words in the same order by concatenation instead, and the tests
-hold the two to each other.
+enumeration streams are independent per call.  enumerate_partitions
+walks the parts themselves; position words, the strings the abacus and
+the census read, are encoded and decoded in tower alone.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import count
 from operator import lt
 from typing import Iterable, Iterator
 
@@ -135,37 +134,26 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in reverse-lexicographic order.
 
     (n) comes first and (1, ..., 1) last; the stream has partition_count(n)
-    entries.  It is _words(n), decoded.
+    entries.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return map(Partition._trusted, map(_decode, _words(n)))
+    return map(Partition._trusted, _zs1(n))
 
 
-def _words(n: int) -> Iterator[str]:
-    """Position words of the partitions of n, in the order of
-    enumerate_partitions: character b is "1" where the beta-set of
-    len(parts) beads has a bead, from position 0 up to the top bead.
-
-    Zoghbi and Stojmenovic's ZS1 keeps the descending parts x[:m], with
-    x[h] the last part above 1; each step lowers x[h] by one and refills
-    the parts after it greedily, in O(1) amortised time.  The word starts
-    at the smallest part, so a step changes only its front.  above[i] is
-    bead i and the word above it, which depends on x[0..i] alone, so it is
-    rebuilt only from the first index a step changed up to h.  Each word is
-    then a 0, a bead for each trailing 1, x[h] - 1 more 0s and above[h].
-    """
+def _zs1(n: int) -> Iterator[tuple[int, ...]]:
+    """Zoghbi and Stojmenovic's ZS1 on the descending parts x[:m]: each step
+    lowers the last part above 1 by one and refills the tail greedily with
+    that part, in O(1) amortised time; the parts are positive and
+    descending by construction."""
     if n == 0:
-        yield ""
+        yield ()
         return
     x = [1] * n
     x[0] = n
     m = 1  # number of parts
     h = 0  # index of the last part above 1; every later part is 1
-    # above[n] is never rebuilt: it stands for h = -1 at (1, ..., 1), the
-    # last partition, where x[-1] = 1 as well.
-    above = ["1"] * n + [""]
-    yield "0" * n + "1"
+    yield (n,)
     while x[0] != 1:
         if x[h] == 2:
             x[h] = 1
@@ -175,7 +163,6 @@ def _words(n: int) -> Iterator[str]:
             r = x[h] - 1
             rest = m - h  # the 1s after x[h], plus the cell taken off it
             x[h] = r
-            low = h or 1  # above[0] is "1" whatever x[0] is
             while rest >= r:
                 h += 1
                 x[h] = r
@@ -187,19 +174,7 @@ def _words(n: int) -> Iterator[str]:
                 if rest > 1:
                     h += 1
                     x[h] = rest
-            for i in range(low, h + 1):
-                above[i] = "1" + "0" * (x[i - 1] - x[i]) + above[i - 1]
-        yield "0" + "1" * (m - 1 - h) + "0" * (x[h] - 1) + above[h]
-
-
-def _decode(word: str) -> tuple[int, ...]:
-    """Parts, largest first, of the partition with this position word, with
-    no 1s at its bottom (a bead there would be a zero part): a bead's part
-    is the number of 0s below it."""
-    sizes = list(accumulate(map(len, word.split("1"))))
-    sizes.pop()  # the empty piece above the top bead
-    sizes.reverse()
-    return tuple(sizes)
+        yield tuple(x[:m])
 
 
 # Memo table for Euler's pentagonal number recurrence.  Grown on demand,

@@ -9,8 +9,9 @@ yields the t-core, independently of deletion order.  Reading the beads in
 residue class r (positions divided by t after subtracting r) gives
 component r of the t-quotient.
 
-The kernel reads a partition as its position word: character b is "1"
-where a bead sits at position b.  Runner r is the slice word[r::t], a
+The kernel reads one partition at a time as its position word (_word,
+read back by _decode, the one word codec): character b is "1" where a
+bead sits at position b.  Runner r is the slice word[r::t], a
 runner's bead count is its number of 1s, and the number of 0s below a
 1 is its part, so cores, quotients and towers come from string
 operations, with no loop over the beads.  A word has one character per
@@ -19,13 +20,6 @@ fewer parts than t, or whose largest part is far above its number of
 parts, is split from its bead list instead (see _abacus), in time and
 memory that grow with its length alone.  One walk, _levels, serves every
 tower statistic: a row size sums its cores' sizes, read off their charges.
-
-The enumeration census (genfun._sweep) packs the row sizes of a partition
-of n in one int (_RowSizes), row j at bit j * bits for sizes up to
-n < 2**bits: no row, nor sum of component sizes, passes n, so no digit
-carries.  Its table maps a runner word[i::t] as sliced to its component's
-whole share of the packed rows, (rows << bits) - t * size, so a partition
-of n packs as n plus the sum of its runners' values.
 
 Convention fixed here: bead counts are always normalised up to a multiple
 of t before reading off cores and quotients.  This pins down the order of
@@ -37,11 +31,11 @@ reference data treat quotient tuples as multisets.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, itemgetter, mul, sub
 from typing import Iterator, Sequence
 
-from .partitions import EMPTY, Partition, _Frozen, _decode
+from .partitions import EMPTY, Partition, _Frozen
 
 # Materialisation guard: pre-tower row j has t**j entries, and a t-quotient t.
 _MAX_ROW_ENTRIES = 1 << 20
@@ -83,6 +77,16 @@ def _word(parts: tuple[int, ...]) -> str:
         return ""
     gaps = map(sub, reversed(parts), chain((0,), reversed(parts)))
     return "1".join(map(mul, repeat("0"), gaps)) + "1"
+
+
+def _decode(word: str) -> tuple[int, ...]:
+    """Parts, largest first, of the partition with this position word, with
+    no 1s at its bottom (a bead there would be a zero part): a bead's part
+    is the number of 0s below it."""
+    sizes = list(accumulate(map(len, word.split("1"))))
+    sizes.pop()  # the empty piece above the top bead
+    sizes.reverse()
+    return tuple(sizes)
 
 
 def _abacus(parts: tuple[int, ...], t: int) -> _Abacus:
@@ -332,32 +336,6 @@ def core_tower(lam: Partition, t: int) -> CoreTower:
         _check_row(t, j)
         entries.append(tuple((i, core) for i, _, core, _ in level if core))
     return CoreTower(t=t, entries=tuple(entries))
-
-
-class _RowSizes(dict):
-    """The census table (module docstring) for modulus t and sizes <= n:
-    each runner word[i::t], as sliced, to its component's share of the
-    packed rows.  A component packs as its size plus its own runners'
-    values; past its length they are empty.  A miss strips its runner and
-    reads the component's share off shares, so each component is computed
-    once however many runners carry it."""
-
-    def __init__(self, t: int, n: int):
-        self.t, self.bits, self.shares = t, n.bit_length(), {}
-
-    def __missing__(self, runner: str) -> int:
-        child = runner.lstrip("1").rstrip("0")
-        if (value := self.shares.get(child)) is None:
-            t, size = self.t, sum(_decode(child))
-            rows = size + sum(self[child[i::t]] for i in range(min(t, len(child))))
-            value = self.shares[child] = (rows << self.bits) - t * size
-        self[runner] = value
-        return value
-
-    def sizes(self, packed: int) -> tuple[int, ...]:
-        """Row 0 up to the tower height, from packed rows."""
-        digits = range(0, max(packed.bit_length(), 1), self.bits or 1)
-        return tuple(packed >> i & ((1 << self.bits) - 1) for i in digits)
 
 
 def tower_row_sizes(lam: Partition, t: int) -> tuple[int, ...]:

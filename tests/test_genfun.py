@@ -369,60 +369,48 @@ class TestFamilyTable:
 
 class TestWordStore:
     """Every sweep reads the words of n from one store, which builds each n
-    once for the life of the process from the stored words below it;
-    _words is its oracle, not its source."""
-
-    oracle = staticmethod(partitions._words)
+    once for the life of the process from the stored words below it, one
+    string per (n, largest part) group."""
 
     @staticmethod
     def spy(monkeypatch):
-        walked = []
+        """Each n whose entry the store builds, in order, from an empty store."""
         built = []
-        words = partitions._words
-        joined = genfun._joined
 
-        def spying(n):
-            walked.append(n)
-            return words(n)
+        class Recording(list):
+            def append(self, groups):
+                built.append(len(self))
+                super().append(groups)
 
-        def joining(pieces):
-            built.append(len(genfun._store))
-            return joined(pieces)
-
-        monkeypatch.setattr(genfun, "_store", [])
+        monkeypatch.setattr(genfun, "_store", Recording())
         monkeypatch.setattr(genfun, "_sweeps", {})
-        monkeypatch.setattr(partitions, "_words", spying)
-        monkeypatch.setattr(genfun, "_words", spying, raising=False)
-        monkeypatch.setattr(genfun, "_joined", joining)
-        return walked, built
+        return built
 
     def test_each_n_is_walked_once(self, monkeypatch):
-        # Each n >= 1 joins one group per largest part 1..n, once: later
-        # sweeps keep the very entries built, and none calls _words.
-        walked, built = self.spy(monkeypatch)
+        # Later sweeps keep the very entries built, and build none again.
+        built = self.spy(monkeypatch)
         genfun._census(2, 30)
         kept = list(genfun._store)
         for t in (2, 3, 4, 5):
             genfun._census(t, 30)
         assert genfun._store == kept and all(map(operator.is_, genfun._store, kept))
-        assert built == [n for n in range(31) for _ in range(n)]
+        assert built == list(range(31))
         genfun._census(2, 34)
         assert all(map(operator.is_, genfun._store[:31], kept))
-        assert built == [n for n in range(35) for _ in range(n)]
-        assert walked == []
+        assert built == list(range(35))
 
-    def test_chunks_hold_the_words_in_enumeration_order(self, monkeypatch):
+    def test_each_group_is_one_string_in_enumeration_order(self, monkeypatch):
         self.spy(monkeypatch)
         for n in range(41):  # from a cold store to 30, then on to 40
-            words = [w for chunk in genfun._stored(n) for w in chunk.split(" ")]
-            assert words == list(self.oracle(n))
-        groups = [g for groups in genfun._store for g in groups]
-        sizes = [[s.count(" ") + 1 for s in g] for g in groups]
-        # No string passes the bound, and a group starts a new string only
-        # when the next words would not fit in the last one.
-        assert max(map(max, filter(None, sizes))) <= genfun._CHUNK
-        assert all(a + b > genfun._CHUNK for g in sizes for a, b in zip(g, g[1:]))
-        assert max(map(len, groups)) > 1  # some group of n <= 40 is split
+            stream = list(enumerate_partitions(n))
+            words = [_word(lam.parts) for lam in stream]
+            assert [w for group in genfun._stored(n) for w in group] == words
+            # Group b holds the words of largest part b, each followed by
+            # a space; the empty partition's largest part is 0.
+            groups = [""] * (n + 1)
+            for lam, word in zip(stream, words):
+                groups[lam.parts[0] if lam else 0] += word + " "
+            assert genfun._store[n] == tuple(groups)
 
     def test_cold_and_warm_stores_sweep_alike(self, monkeypatch):
         order = 22
@@ -435,9 +423,9 @@ class TestWordStore:
                 assert sorted(cold[n]) == TestEnumerationCensus.dense_tally(t, n)
 
     def test_largest_modulus_census_memory_from_a_cold_store(self, monkeypatch):
-        # The store of n <= 30, 534,911 characters with the separators, is
-        # made inside the traced sweep; as one string per word it would
-        # pass the bound.
+        # The store of n <= 30, 535,377 characters with the spaces, is made
+        # inside the traced sweep; as one string per word it would pass the
+        # bound.
         self.spy(monkeypatch)
         tracemalloc.start()
         try:
@@ -445,7 +433,21 @@ class TestWordStore:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(len(s) for groups in genfun._store for g in groups for s in g) > 500_000
+        assert sum(len(g) for groups in genfun._store for g in groups) > 500_000
+        assert peak < 1 << 20
+
+    def test_sweep_memory_at_order_forty_from_a_warm_store(self, monkeypatch):
+        # A sweep splits one whole group at a time, so its transient memory
+        # grows with the largest group: 638 words at n = 30, 3590 at
+        # n = 40, the highest order CI enumerates.  It peaks near 0.64 MB.
+        self.spy(monkeypatch)
+        genfun._stored(40)
+        tracemalloc.start()
+        try:
+            genfun._sweep(5, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 1 << 20
 
 
@@ -463,7 +465,7 @@ class TestCensusDefectCheck:
         t, order = 2, 6
         assert _word((3, 2, 1))[1::t] == "111"
 
-        class Fake(tower._RowSizes):
+        class Fake(genfun._RowSizes):
             def __missing__(self, key):
                 self[key] = value = super().__missing__(key) + (key == "111")
                 return value
@@ -479,20 +481,20 @@ class TestRowSizesTable:
 
     @staticmethod
     def spy(monkeypatch):
-        """The tables the census builds, and each word tower._decode reads."""
+        """The tables the census builds, and each word they decode."""
         tables, decoded = [], []
 
-        class Spying(tower._RowSizes):
+        class Spying(genfun._RowSizes):
             def __init__(self, t, n):
                 super().__init__(t, n)
                 tables.append(self)
 
         def decoding(word):
             decoded.append(word)
-            return partitions._decode(word)
+            return tower._decode(word)
 
         monkeypatch.setattr(genfun, "_RowSizes", Spying)
-        monkeypatch.setattr(tower, "_decode", decoding)
+        monkeypatch.setattr(genfun, "_decode", decoding)
         return tables, decoded
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5])
@@ -524,7 +526,7 @@ class TestRowSizesTable:
                 want = (rows << bits) - t * k
                 for a, b in [(0, 0), (1, 0), (0, 2), (3, 1)]:
                     padded = "1" * a + c + "0" * b
-                    first, second = tower._RowSizes(t, n), tower._RowSizes(t, n)
+                    first, second = genfun._RowSizes(t, n), genfun._RowSizes(t, n)
                     assert (first[padded], first[c]) == (want, want)
                     assert (second[c], second[padded]) == (want, want)
 

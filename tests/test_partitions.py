@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -17,8 +18,8 @@ from coretower import (
     partition_series,
 )
 from coretower import partitions as partitions_module
-from coretower.partitions import _words
-from coretower.tower import _word
+from coretower import genfun
+from coretower.tower import _decode, _word
 from strategies import partitions
 
 
@@ -162,6 +163,21 @@ class TestEnumeration:
         next(first)
         assert next(second).parts == (5,)
 
+    def test_streams_in_constant_memory(self, monkeypatch):
+        # p(40) = 37338 partitions, each a few hundred bytes as an object and
+        # 41 characters as a word, are yielded one at a time: a stream built
+        # on a list, or on the census's word store, passes the bound.
+        monkeypatch.setattr(genfun, "_store", [])
+        tracemalloc.start()
+        try:
+            for _ in enumerate_partitions(40):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
+        assert genfun._store == []
+
     @pytest.mark.parametrize("n", range(0, 16))
     def test_all_distinct_and_of_size_n(self, n):
         seen = list(enumerate_partitions(n))
@@ -188,15 +204,14 @@ class TestEnumeration:
 
 
 class TestPositionWords:
-    """enumerate_partitions decodes _words, the census store's oracle."""
+    """tower's word codec against the recursive oracle's parts."""
 
     @pytest.mark.parametrize("n", range(0, 26))
     def test_words_encode_the_partition_stream(self, n):
-        words = list(_words(n))
+        words = [_word(p) for p in descending_parts(n, n)]
         assert words == [_word(lam.parts) for lam in enumerate_partitions(n)]
-        # Independent of _decode: the oracle's parts are encoded directly.
-        assert words == [_word(p) for p in descending_parts(n, n)]
-        assert len(words) == partition_count(n)
+        assert [_decode(w) for w in words] == list(descending_parts(n, n))
+        assert len(set(words)) == len(words) == partition_count(n)
 
 
 class TestPartitionCount:
