@@ -52,8 +52,7 @@ def main() -> int:
             compare_series(label, closed, enumerated(family, j, t, order), t=t, j=j)
         )
     for t in range(2, 8):
-        reports.append(check_congruence(t, args.congruence_order, claim="np"))
-        reports.append(check_congruence(t, args.congruence_order, claim="multiples"))
+        reports.extend(check_congruence(t, args.congruence_order))
         reports.append(check_recursion(t, args.congruence_order))
     for t in (2, 3, 5):
         reports.append(monotonicity_check(t, args.congruence_order))

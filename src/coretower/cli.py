@@ -201,10 +201,7 @@ def _cmd_series(args) -> int:
 def _cmd_verify(args) -> int:
     t, order = args.t, args.order
     if args.what == "congruence":
-        reports = [
-            genfun.check_congruence(t, order, claim="np"),
-            genfun.check_congruence(t, order, claim="multiples"),
-        ]
+        reports = genfun.check_congruence(t, order)
     elif args.what == "recursion":
         reports = [genfun.check_recursion(t, order)]
     else:

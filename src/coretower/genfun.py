@@ -42,8 +42,8 @@ from .series import (
     divisor_sum_series,
     euler_product,
     div,
-    mul,
     pochhammer_inf,
+    q_derivative,
     series_zero,
 )
 from .tower import _decode, _defect
@@ -368,39 +368,33 @@ def regular_partition_series(t: int, order: int) -> IntSeries:
     return pochhammer_inf(t, 1, order)
 
 
-def check_congruence(t: int, order: int, claim: str = "both") -> VerificationReport:
-    """Checks core-size congruences mod t**2 against exact values.
-
-    claim "np": total core size at n agrees with n*p(n) mod t**2.
-    claim "multiples": total core size at multiples of t vanishes mod t**2.
-    claim "both": both, scanned together in increasing n.
+def check_congruence(t: int, order: int) -> tuple[VerificationReport, ...]:
+    """Checks core-size congruences mod t**2 against exact values, from one
+    read of the totals and of p(n): returns the reports "congruence.np" (the
+    total at n agrees with n*p(n) mod t**2) and "congruence.multiples" (the
+    total at multiples of t vanishes mod t**2).
     The mismatch triple holds residues mod t**2: (n, observed, required).
     """
-    if claim not in ("np", "multiples", "both"):
-        raise ValueError(f"unknown claim {claim!r}")
     _check_params(t, order=order)
     totals = core_size_totals(t, order)
     p = partition_counts(order)
     tsq = t * t
-
-    def residues():
-        for n in range(order + 1):
-            observed = totals[n] % tsq
-            if claim != "multiples":
-                yield n, observed, (n * p[n]) % tsq
-            if claim != "np" and n % t == 0:
-                yield n, observed, 0
-
-    return VerificationReport(f"congruence.{claim}", t, None, order, _first(residues()))
+    np = ((n, totals[n] % tsq, n * p[n] % tsq) for n in range(order + 1))
+    multiples = ((n, totals[n] % tsq, 0) for n in range(0, order + 1, t))
+    return (
+        VerificationReport("congruence.np", t, None, order, _first(np)),
+        VerificationReport("congruence.multiples", t, None, order, _first(multiples)),
+    )
 
 
 @_over_eta
 def _recursion_correction(t: int, order: int) -> IntSeries:
     """The recursion's correction W(q**t) (q**t;q**t)_inf / (q;q)_inf, with
-    W[k] = t*k*p(k), over its numerator [W (q;q)_inf](q**t) of order order // t."""
-    w = tuple(t * k * c for k, c in enumerate(partition_counts(order // t)))
+    W[k] = t*k*p(k), over its numerator [W eta](q**t), eta = (q;q)_inf, of
+    order order // t: W = t q P' with P = 1/eta, so W eta = -t q eta' / eta."""
+    eta = euler_product(order // t)
     num = [0] * (order + 1)
-    num[::t] = mul(IntSeries(w), euler_product(order // t)).coeffs
+    num[::t] = div(-t * q_derivative(eta), eta).coeffs
     return IntSeries(tuple(num))
 
 
@@ -411,7 +405,8 @@ def check_recursion(t: int, order: int) -> VerificationReport:
 
     The weights live on multiples of t, as W(q**t) with W[k] = t*k*p(k),
     and regular is (q**t;q**t)_inf / (q;q)_inf, so the correction is one
-    more numerator over (q;q)_inf (_recursion_correction), kept per t."""
+    more numerator over (q;q)_inf (_recursion_correction), kept per t; that
+    numerator is one division, with no product."""
     _check_params(t, order=order)
     totals = core_size_totals(t, order)
     correction = _recursion_correction(t, order).coeffs

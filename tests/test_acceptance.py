@@ -144,7 +144,7 @@ def test_criterion_04_generalized_core_oracle_equivalence():
 def test_criterion_05a_congruence_with_n_times_p():
     failures = []
     for t in range(2, 8):
-        report = check_congruence(t, 200, claim="np")
+        report, _ = check_congruence(t, 200)
         if not report.passed:
             failures.append(report.describe())
     _report("05a", "core sizes vs n*p(n) mod t^2", not failures, "; ".join(failures))
@@ -154,7 +154,7 @@ def test_criterion_05b_congruence_vanishing_at_multiples():
     problems = []
     witnesses = []
     for t in range(2, 8):
-        report = check_congruence(t, 200, claim="multiples")
+        _, report = check_congruence(t, 200)
         witness = first_nonvanishing_multiple(t)
         if witness is None:
             problems.append(f"t={t}: enumeration found no counterexample")

@@ -33,7 +33,7 @@ from coretower import (
     telescoped_row_weight_check,
     tower_row_sizes,
 )
-from coretower import genfun, partitions, tower
+from coretower import genfun, partitions, series, tower
 from coretower.series import (
     IntSeries,
     OrderMismatchError,
@@ -42,6 +42,7 @@ from coretower.series import (
     euler_product,
     mul,
     partition_series,
+    q_derivative,
 )
 from coretower.tower import _word
 import dense_tower
@@ -542,7 +543,7 @@ class TestCoreSizeTotals:
 class TestCongruence:
     def test_np_claim_passes(self):
         for t in range(2, 8):
-            report = check_congruence(t, 100, claim="np")
+            report, _ = check_congruence(t, 100)
             assert report.passed, report.describe()
 
     def test_hand_witness_at_n_three(self):
@@ -564,17 +565,29 @@ class TestCongruence:
         }
         for t, expected in first_failures.items():
             assert first_nonvanishing_multiple(t) == expected[:2]
-            report = check_congruence(t, 60, claim="multiples")
+            _, report = check_congruence(t, 60)
             assert not report.passed
             assert report.first_mismatch == expected
 
-    def test_combined_claim_reports_the_earliest_failure(self):
-        report = check_congruence(4, 60, claim="both")
-        assert report.first_mismatch == (4, 4, 0)
+    def test_one_call_reads_totals_and_counts_once(self, monkeypatch):
+        reads = Counter()
 
-    def test_rejects_unknown_claim(self):
-        with pytest.raises(ValueError):
-            check_congruence(2, 10, claim="everything")
+        def spy(name):
+            real = getattr(genfun, name)
+
+            def counted(*args):
+                reads[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(genfun, name, counted)
+
+        spy("core_size_totals")
+        spy("partition_counts")
+        reports = check_congruence(3, 60)
+        assert reads == {"core_size_totals": 1, "partition_counts": 1}
+        names = [r.identity_name for r in reports]
+        assert names == ["congruence.np", "congruence.multiples"]
+        assert [r.first_mismatch for r in reports] == [None, (6, 3, 0)]
 
 
 class TestRecursion:
@@ -594,8 +607,10 @@ class TestRecursion:
 
     @pytest.mark.parametrize("t", [2, 17, 18, 20, 24])
     def test_orders_around_the_modulus(self, t):
-        # Below t every weight of the convolution is zero; from t = 18 on,
-        # p(t - 1) >= 256 no longer fits the slot a zero operand implies.
+        # Below t the correction's numerator has order 0 and is zero, so the
+        # correction vanishes; at order t its first term, t on q**t, comes in.
+        # Each edge must be spread onto q**t and divided exactly, at small
+        # and at large moduli.
         for order in (0, t - 1, t):
             report = check_recursion(t, order)
             assert report.passed, report.describe()
@@ -644,20 +659,28 @@ class TestRecursion:
     @pytest.mark.parametrize("t", range(2, 8))
     def test_correction_is_one_product_over_eta(self, monkeypatch, t):
         # The correction's numerator is the weights k*t*p(k) times (q;q)_inf,
-        # one product at order order // t spread onto q**t; over (q;q)_inf it is
-        # the dense convolution of the weights on q**t with the regular series.
-        products = []
+        # at order order // t spread onto q**t, built by one division of
+        # -t q eta' by eta and no series product; over (q;q)_inf it is the
+        # dense convolution of the weights on q**t with the regular series.
+        products, divisions = [], []
 
-        def spying(a, b):
+        def spying_mul(a, b):
             products.append(c := mul(a, b))
             return c
 
-        monkeypatch.setattr(genfun, "mul", spying)
+        def spying_div(a, b):
+            divisions.append(c := div(a, b))
+            return c
+
+        monkeypatch.setattr(genfun, "mul", spying_mul, raising=False)
+        monkeypatch.setattr(series, "mul", spying_mul)
+        monkeypatch.setattr(genfun, "div", spying_div)
         for order in sorted({0, 1, t - 2, t - 1, t, 2 * t + 1, 97}):
             genfun._recursion_correction.cache_clear()
-            products.clear()
+            divisions.clear()
             assert check_recursion(t, order).passed
-            assert [c.truncation_order for c in products] == [order // t]
+            assert products == []
+            assert [c.truncation_order for c in divisions] == [order // t]
             weights = IntSeries(
                 tuple(0 if m % t else m * partition_count(m // t) for m in range(order + 1))
             )
@@ -671,7 +694,7 @@ class TestRecursion:
         order = 90
 
         def planted(a, b):
-            c = list(mul(a, b).coeffs)
+            c = list(div(a, b).coeffs)
             c[k] += 1
             return IntSeries(tuple(c))
 
@@ -679,7 +702,7 @@ class TestRecursion:
         total = core_size_totals(t, order)[n]
         want = n * partition_count(n) - t * (genfun._recursion_correction(t, n)[n] + 1)
         genfun._recursion_correction.cache_clear()
-        monkeypatch.setattr(genfun, "mul", planted)
+        monkeypatch.setattr(genfun, "div", planted)
         try:
             report = check_recursion(t, order)
         finally:
@@ -690,11 +713,15 @@ class TestRecursion:
     def test_weights_times_eta_are_t_times_the_divisor_sums(self, t):
         # Euler: q P'(q) / P(q) = sum sigma(n) q**n with P = 1/(q;q)_inf, so
         # the correction's numerator is t*sigma on q**t; this ties the sieve
-        # to the pentagonal p(n) table far past the brute-force ceiling.
+        # to the pentagonal p(n) table far past the brute-force ceiling.  The
+        # correction builds that numerator as -t q eta' / eta, with no p(k);
+        # the product of the weights with eta ties p(k) to that route too.
         order = 5000
         p = partitions.partition_counts(order)
         weights = IntSeries(tuple(t * k * c for k, c in enumerate(p)))
-        assert mul(weights, euler_product(order)) == t * divisor_sum_series(order)
+        eta = euler_product(order)
+        assert mul(weights, eta) == t * divisor_sum_series(order)
+        assert div(-t * q_derivative(eta), eta) == mul(weights, eta)
 
     def test_reports_a_planted_mismatch(self, monkeypatch):
         totals = core_size_totals(3, 90)
