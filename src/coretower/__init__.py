@@ -44,15 +44,12 @@ from .genfun import (
     check_congruence,
     check_recursion,
     compare_series,
-    core_size_totals,
     defect_series,
-    defect_series_brute,
+    enumerated,
     generalized_core_series,
-    generalized_core_series_brute,
     monotonicity_check,
     regular_partition_series,
     row_weight_series,
-    row_weight_series_brute,
     telescoped_row_weight_check,
 )
 from .asymptotics import (

@@ -213,6 +213,7 @@ def defect_samples(
     t: int, ns: Sequence[int], dps: int = DEFAULT_DPS
 ) -> list[AsymptoticSample]:
     """Exact total defects at the given sizes with both predictions attached."""
+    _check_params(t)
     if not ns:
         return []
     if any(n < 1 for n in ns):

@@ -91,8 +91,8 @@ class VerificationReport(NamedTuple):
             n, closed_value, brute_value = self.first_mismatch
             mismatch = {
                 "n": n,
-                "closed_value": str(closed_value),
-                "brute_value": str(brute_value),
+                "closed_value": _shown(closed_value),
+                "brute_value": _shown(brute_value),
             }
         return {
             "identity": self.identity_name,
@@ -347,20 +347,6 @@ def enumerated(family: str, j: int | None, t: int, order: int) -> IntSeries:
     return IntSeries(tuple(sum(k * stat(j, t, n, s) for s, k in c) for n, c in census))
 
 
-row_weight_series_brute = partial(enumerated, "T")
-defect_series_brute = partial(enumerated, "D", None)
-generalized_core_series_brute = partial(enumerated, "cores")
-
-
-def core_size_totals(t: int, order: int) -> list[int]:
-    """Sum of t-core sizes over all partitions of n, for n = 0..order.
-
-    Read from the closed form, which enumeration validates separately up
-    to the brute-force ceiling.
-    """
-    return list(row_weight_series(0, t, order).coeffs)
-
-
 @_over_eta
 def regular_partition_series(t: int, order: int) -> IntSeries:
     """Counts of partitions with no part divisible by t, from the product
@@ -376,7 +362,7 @@ def check_congruence(t: int, order: int) -> tuple[VerificationReport, ...]:
     The mismatch triple holds residues mod t**2: (n, observed, required).
     """
     _check_params(t, order=order)
-    totals = core_size_totals(t, order)
+    totals = row_weight_series(0, t, order).coeffs
     p = partition_counts(order)
     tsq = t * t
     np = ((n, totals[n] % tsq, n * p[n] % tsq) for n in range(order + 1))
@@ -408,7 +394,7 @@ def check_recursion(t: int, order: int) -> VerificationReport:
     more numerator over (q;q)_inf (_recursion_correction), kept per t; that
     numerator is one division, with no product."""
     _check_params(t, order=order)
-    totals = core_size_totals(t, order)
+    totals = row_weight_series(0, t, order).coeffs
     correction = _recursion_correction(t, order).coeffs
     p = partition_counts(order)
     mismatch = _first(

@@ -348,9 +348,9 @@ def tower_row_sizes(lam: Partition, t: int) -> tuple[int, ...]:
 
 def row_size(lam: Partition, t: int, j: int) -> int:
     """Total size of tower row j; zero beyond the tower height."""
+    _check_modulus(t)
     if j < 0:
         raise ValueError("row index j must be nonnegative")
-    _check_modulus(t)
     return sum(size for _, _, size, _ in _level(lam, t, j))
 
 
@@ -377,7 +377,7 @@ def is_generalized_core(lam: Partition, j: int, t: int) -> bool:
 
     For j = 0 this is exactly the t-core predicate.
     """
+    _check_modulus(t)
     if j < 0:
         raise ValueError("row index j must be nonnegative")
-    _check_modulus(t)
     return not _level(lam, t, j + 1)

@@ -27,14 +27,13 @@ from coretower import (
     defect,
     defect_samples,
     defect_series,
-    defect_series_brute,
     divisor_sum_series,
     eisenstein_transform_residual,
     enumerate_partitions,
+    enumerated,
     eta_growth_ratio,
     euler_product,
     generalized_core_series,
-    generalized_core_series_brute,
     hook_lengths,
     monotonicity_check,
     mul,
@@ -47,7 +46,6 @@ from coretower import (
     regular_partition_series,
     row_size,
     row_weight_series,
-    row_weight_series_brute,
     t_core,
     t_quotient,
     tower_row_sizes,
@@ -94,7 +92,7 @@ def test_criterion_02_row_weight_oracle_equivalence():
             report = compare_series(
                 "row-weights",
                 row_weight_series(j, t, 30),
-                row_weight_series_brute(j, t, 30),
+                enumerated("T", j, t, 30),
                 t=t,
                 j=j,
             )
@@ -111,7 +109,7 @@ def test_criterion_03_defect_series_oracle_equivalence():
     failures = []
     for t in (2, 3, 5):
         report = compare_series(
-            "defects", defect_series(t, 25), defect_series_brute(t, 25), t=t
+            "defects", defect_series(t, 25), enumerated("D", None, t, 25), t=t
         )
         if not report.passed:
             failures.append(report.describe())
@@ -125,7 +123,7 @@ def test_criterion_04_generalized_core_oracle_equivalence():
         report = compare_series(
             "cores",
             generalized_core_series(j, t, 25),
-            generalized_core_series_brute(j, t, 25),
+            enumerated("cores", j, t, 25),
             t=t,
             j=j,
         )

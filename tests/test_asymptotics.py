@@ -149,6 +149,11 @@ class TestDefectTrend:
             defect_samples(2, (0, 10))
         assert defect_samples(2, ()) == []
 
+    def test_rejects_a_bad_modulus_with_no_sizes(self):
+        for ns in ((), (5,)):
+            with pytest.raises(ValueError, match="modulus t must be at least 2, got 1"):
+                defect_samples(1, ns)
+
 
 def direct_lambert_sum(m, eps, tol):
     """sum_n n x**n / (1 - x**n) at x = exp(-m eps), term by term."""

@@ -439,6 +439,42 @@ class TestVerifyCommand:
         assert statuses == ["pass", "fail"]
         assert payload["reports"][1]["first_mismatch"]["n"] == 6
 
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("command", ["series", "recursion"])
+    def test_a_mismatch_past_the_digit_limit_still_exits_one(
+        self, capsys, monkeypatch, command, fmt
+    ):
+        # 10**5000 is past the default 4300-digit limit of str(); the report
+        # shows it by its bit length, in both formats, and exit 1 stays a
+        # mismatch.
+        huge = 10**5000
+        if command == "series":
+            planted = lambda j, t, order: IntSeries((huge, 0, 0, 0))  # noqa: E731
+            _, stat, takes_j = cli.genfun.FAMILIES["T"]
+            monkeypatch.setitem(cli.genfun.FAMILIES, "T", (planted, stat, takes_j))
+            argv = ("series", "T", "--j", "0", "--t", "2", "--order", "3", "--mode", "both")
+            line = "series.T t=2 j=0 order=3"
+        else:
+            planted = lambda j, t, order: IntSeries((huge,) + (0,) * order)  # noqa: E731
+            monkeypatch.setattr(cli.genfun, "row_weight_series", planted)
+            argv = ("verify", "recursion", "--t", "2", "--order", "5")
+            line = "recursion t=2 order=5"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (1, "")
+        if fmt == "plain":
+            assert out == f"{line}: FAIL at n=0: got <16610-bit int>, expected 0\n"
+        else:
+            payload = json.loads(out)
+            report = payload if command == "series" else payload["reports"][0]
+            assert report["first_mismatch"] == {
+                "n": 0, "closed_value": "<16610-bit int>", "brute_value": "0"
+            }
+
     def test_csv_is_rejected_for_reports(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "monotone", "--t", "2", "--order", "10",

@@ -16,20 +16,17 @@ from coretower import (
     check_congruence,
     check_recursion,
     compare_series,
-    core_size_totals,
     core_tower,
     defect_series,
-    defect_series_brute,
     enumerate_partitions,
+    enumerated,
     generalized_core_series,
-    generalized_core_series_brute,
     hook_lengths,
     monotonicity_check,
     partition_count,
     pre_tower_row,
     regular_partition_series,
     row_weight_series,
-    row_weight_series_brute,
     telescoped_row_weight_check,
     tower_row_sizes,
 )
@@ -69,10 +66,10 @@ def _divisors(m):
 
 class TestRowWeightSeries:
     def test_brute_frozen_values(self):
-        assert row_weight_series_brute(0, 2, 10).coeffs == ROW_WEIGHTS_0_2
-        assert row_weight_series_brute(1, 2, 10).coeffs == ROW_WEIGHTS_1_2
-        assert row_weight_series_brute(0, 3, 10).coeffs == ROW_WEIGHTS_0_3
-        assert row_weight_series_brute(2, 2, 12).coeffs == ROW_WEIGHTS_2_2
+        assert enumerated("T", 0, 2, 10).coeffs == ROW_WEIGHTS_0_2
+        assert enumerated("T", 1, 2, 10).coeffs == ROW_WEIGHTS_1_2
+        assert enumerated("T", 0, 3, 10).coeffs == ROW_WEIGHTS_0_3
+        assert enumerated("T", 2, 2, 12).coeffs == ROW_WEIGHTS_2_2
 
     def test_closed_matches_frozen_values(self):
         assert row_weight_series(0, 2, 10).coeffs == ROW_WEIGHTS_0_2
@@ -95,7 +92,7 @@ class TestRowWeightSeries:
         report = compare_series(
             "row-weights",
             row_weight_series(j, t, 14),
-            row_weight_series_brute(j, t, 14),
+            enumerated("T", j, t, 14),
             t=t,
             j=j,
         )
@@ -112,16 +109,16 @@ class TestRowWeightSeries:
         assert row_weight_series(10**9, 2, 50).coeffs == (0,) * 51
 
     def test_order_zero_series(self):
-        assert row_weight_series_brute(1, 3, 0).coeffs == (0,)
-        assert defect_series_brute(2, 0).coeffs == (0,)
-        assert generalized_core_series_brute(0, 2, 0).coeffs == (1,)
+        assert enumerated("T", 1, 3, 0).coeffs == (0,)
+        assert enumerated("D", None, 2, 0).coeffs == (0,)
+        assert enumerated("cores", 0, 2, 0).coeffs == (1,)
 
 
 class TestDefectSeries:
     def test_frozen_values(self):
-        assert defect_series_brute(2, 10).coeffs == DEFECTS_2
+        assert enumerated("D", None, 2, 10).coeffs == DEFECTS_2
         assert defect_series(2, 10).coeffs == DEFECTS_2
-        assert defect_series_brute(3, 10).coeffs == DEFECTS_3
+        assert enumerated("D", None, 3, 10).coeffs == DEFECTS_3
         assert defect_series(3, 10).coeffs == DEFECTS_3
 
     def test_sizes_zero_and_one_are_always_cores(self):
@@ -132,18 +129,18 @@ class TestDefectSeries:
     @pytest.mark.parametrize("t", [2, 3, 5])
     def test_oracle_equivalence_medium_order(self, t):
         report = compare_series(
-            "defects", defect_series(t, 14), defect_series_brute(t, 14), t=t
+            "defects", defect_series(t, 14), enumerated("D", None, t, 14), t=t
         )
         assert report.passed, report.describe()
 
 
 class TestGeneralizedCoreSeries:
     def test_frozen_values(self):
-        assert generalized_core_series_brute(0, 2, 12).coeffs == CORES_0_2
+        assert enumerated("cores", 0, 2, 12).coeffs == CORES_0_2
         assert generalized_core_series(0, 2, 12).coeffs == CORES_0_2
-        assert generalized_core_series_brute(1, 2, 12).coeffs == CORES_1_2
+        assert enumerated("cores", 1, 2, 12).coeffs == CORES_1_2
         assert generalized_core_series(1, 2, 12).coeffs == CORES_1_2
-        assert generalized_core_series_brute(0, 3, 12).coeffs == CORES_0_3
+        assert enumerated("cores", 0, 3, 12).coeffs == CORES_0_3
         assert generalized_core_series(0, 3, 12).coeffs == CORES_0_3
 
     def test_two_cores_sit_on_triangular_numbers(self):
@@ -177,7 +174,7 @@ class TestGeneralizedCoreSeries:
                 for lam in enumerate_partitions(n)
                 if all(h % 3 for row in hook_lengths(lam) for h in row)
             )
-            assert generalized_core_series_brute(0, 3, 12)[n] == by_hooks
+            assert enumerated("cores", 0, 3, 12)[n] == by_hooks
 
     def test_deep_levels_collapse_to_the_partition_count(self):
         # Once t**(j+1) exceeds the order every partition in range counts.
@@ -217,11 +214,11 @@ class TestEnumerationCensus:
                 assert rem == 0 and d >= 0
                 defects[n] += d
         for j in levels:
-            assert row_weight_series_brute(j, t, order).coeffs == tuple(r[j] for r in rows)
-            assert generalized_core_series_brute(j, t, order).coeffs == tuple(
+            assert enumerated("T", j, t, order).coeffs == tuple(r[j] for r in rows)
+            assert enumerated("cores", j, t, order).coeffs == tuple(
                 c[j] for c in cores
             )
-        assert defect_series_brute(t, order).coeffs == tuple(defects)
+        assert enumerated("D", None, t, order).coeffs == tuple(defects)
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_closed_forms_match_enumeration_past_the_ceiling(self, t):
@@ -231,7 +228,7 @@ class TestEnumerationCensus:
             compare_series(
                 "row-weights",
                 row_weight_series(j, t, order),
-                row_weight_series_brute(j, t, order),
+                enumerated("T", j, t, order),
                 t=t,
                 j=j,
             )
@@ -239,14 +236,14 @@ class TestEnumerationCensus:
         ]
         reports.append(
             compare_series(
-                "defects", defect_series(t, order), defect_series_brute(t, order), t=t
+                "defects", defect_series(t, order), enumerated("D", None, t, order), t=t
             )
         )
         reports.append(
             compare_series(
                 "generalized-cores",
                 generalized_core_series(0, t, order),
-                generalized_core_series_brute(0, t, order),
+                enumerated("cores", 0, t, order),
                 t=t,
                 j=0,
             )
@@ -258,10 +255,10 @@ class TestEnumerationCensus:
         # No hook of a partition of n exceeds n, so for t > n every partition
         # is a t-core; the census must not walk t = 2**20 runners for each.
         t, order = 1 << 20, 30
-        assert row_weight_series_brute(0, t, order).coeffs == tuple(
+        assert enumerated("T", 0, t, order).coeffs == tuple(
             n * partition_count(n) for n in range(order + 1)
         )
-        assert defect_series_brute(t, order).coeffs == (0,) * (order + 1)
+        assert enumerated("D", None, t, order).coeffs == (0,) * (order + 1)
 
     @staticmethod
     @cache
@@ -358,14 +355,6 @@ class TestFamilyTable:
             for source in (closed, partial(genfun.enumerated, family)):
                 with pytest.raises(TypeError):
                     source(*bad)
-
-    def test_the_brute_aliases_refuse_floats(self):
-        with pytest.raises(TypeError):
-            generalized_core_series_brute(0.0, 2, 5)
-        with pytest.raises(TypeError):
-            defect_series_brute(2, 5.0)
-        with pytest.raises(TypeError):
-            row_weight_series_brute(0, 2.0, 5)
 
 
 class TestWordStore:
@@ -534,10 +523,7 @@ class TestRowSizesTable:
 
 class TestCoreSizeTotals:
     def test_head_values(self):
-        assert core_size_totals(2, 8) == [0, 1, 0, 5, 0, 11, 6, 25, 12]
-
-    def test_matches_row_zero_series(self):
-        assert core_size_totals(3, 20) == list(row_weight_series(0, 3, 20).coeffs)
+        assert row_weight_series(0, 2, 8).coeffs == (0, 1, 0, 5, 0, 11, 6, 25, 12)
 
 
 class TestCongruence:
@@ -547,7 +533,7 @@ class TestCongruence:
             assert report.passed, report.describe()
 
     def test_hand_witness_at_n_three(self):
-        totals = core_size_totals(2, 3)
+        totals = row_weight_series(0, 2, 3)
         assert totals[3] == 5
         assert totals[3] % 4 == (3 * partition_count(3)) % 4 == 1
 
@@ -581,10 +567,10 @@ class TestCongruence:
 
             monkeypatch.setattr(genfun, name, counted)
 
-        spy("core_size_totals")
+        spy("row_weight_series")
         spy("partition_counts")
         reports = check_congruence(3, 60)
-        assert reads == {"core_size_totals": 1, "partition_counts": 1}
+        assert reads == {"row_weight_series": 1, "partition_counts": 1}
         names = [r.identity_name for r in reports]
         assert names == ["congruence.np", "congruence.multiples"]
         assert [r.first_mismatch for r in reports] == [None, (6, 3, 0)]
@@ -600,7 +586,7 @@ class TestRecursion:
         # total(3) = 3 p(3) - 2 * (2 p(1) * regular(1)) = 9 - 4 = 5.
         regular = regular_partition_series(2, 3)
         assert regular[1] == 1
-        assert core_size_totals(2, 3)[3] == 3 * partition_count(3) - 2 * (2 * 1 * 1)
+        assert row_weight_series(0, 2, 3)[3] == 3 * partition_count(3) - 2 * (2 * 1 * 1)
 
     def test_zero_order(self):
         assert check_recursion(5, 0).passed
@@ -699,7 +685,7 @@ class TestRecursion:
             return IntSeries(tuple(c))
 
         n = t * k
-        total = core_size_totals(t, order)[n]
+        total = row_weight_series(0, t, order)[n]
         want = n * partition_count(n) - t * (genfun._recursion_correction(t, n)[n] + 1)
         genfun._recursion_correction.cache_clear()
         monkeypatch.setattr(genfun, "div", planted)
@@ -724,9 +710,9 @@ class TestRecursion:
         assert div(-t * q_derivative(eta), eta) == mul(weights, eta)
 
     def test_reports_a_planted_mismatch(self, monkeypatch):
-        totals = core_size_totals(3, 90)
-        planted = totals[:57] + [totals[57] + 1] + totals[58:]
-        monkeypatch.setattr(genfun, "core_size_totals", lambda t, order: planted)
+        totals = row_weight_series(0, 3, 90).coeffs
+        planted = IntSeries(totals[:57] + (totals[57] + 1,) + totals[58:])
+        monkeypatch.setattr(genfun, "row_weight_series", lambda j, t, order: planted)
         report = check_recursion(3, 90)
         assert report.first_mismatch == (57, totals[57] + 1, totals[57])
 

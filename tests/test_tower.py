@@ -703,3 +703,18 @@ class TestGeneralizedCores:
         for t in (1, (1 << 20) + 1):
             with pytest.raises(ValueError, match="modulus"):
                 row_size(WORKED, t, 0)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda t, j: row_size(WORKED, t, j),
+            lambda t, j: is_generalized_core(WORKED, j, t),
+            lambda t, j: pre_tower_row(WORKED, t, j),
+        ],
+        ids=["row_size", "is_generalized_core", "pre_tower_row"],
+    )
+    def test_a_bad_modulus_is_named_before_a_bad_row(self, check):
+        # As genfun's closed forms do: the modulus is checked first.
+        for t in (1, (1 << 20) + 1):
+            with pytest.raises(ValueError, match="modulus"):
+                check(t, -1)
